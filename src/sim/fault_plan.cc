@@ -128,6 +128,14 @@ FaultPlan::FaultPlan(const FaultConfig& config, SimTime horizon)
   // Crash events must be ordered for the simulator's schedule walk.
   std::sort(config_.cache_crashes.begin(), config_.cache_crashes.end(),
             [](const CacheCrashEvent& a, const CacheCrashEvent& b) { return a.at < b.at; });
+  for (const CacheCrashEvent& crash : config_.cache_crashes) {
+    if (!crashes_.empty() && crash.at < crashes_.back().at + crashes_.back().outage) {
+      CacheCrashEvent& open = crashes_.back();
+      open.outage = std::max(open.outage, crash.at + crash.outage - open.at);
+    } else {
+      crashes_.push_back(crash);
+    }
+  }
 }
 
 bool FaultPlan::ServerUp(SimTime t) const {

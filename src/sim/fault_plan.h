@@ -174,7 +174,12 @@ class FaultPlan {
 
   // Merged, sorted, non-overlapping origin downtime.
   const std::vector<DowntimeWindow>& server_downtime() const { return windows_; }
-  const std::vector<CacheCrashEvent>& cache_crashes() const { return config_.cache_crashes; }
+  // Sorted crash schedule with overlapping outages merged: a crash that
+  // starts strictly before the previous restart joins that outage, which
+  // then ends at the later of the two restarts. (ForLink appends a link's
+  // override crashes to the base schedule, so windows can overlap.) A crash
+  // exactly at the previous restart stays a separate crash.
+  const std::vector<CacheCrashEvent>& cache_crashes() const { return crashes_; }
 
   [[nodiscard]] bool ServerUp(SimTime t) const;
   // Earliest time >= t at which the origin is up (t itself when up).
@@ -223,6 +228,7 @@ class FaultPlan {
  private:
   FaultConfig config_;
   std::vector<DowntimeWindow> windows_;
+  std::vector<CacheCrashEvent> crashes_;
   Rng loss_rng_;
   Rng jitter_rng_;
   Rng backoff_rng_;

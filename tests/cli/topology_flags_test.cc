@@ -73,6 +73,22 @@ TEST(TopologyFlagsTest, HierarchyRunPrintsPerTierSpread) {
   EXPECT_NE(result.out.find("L1a"), std::string::npos) << result.out;
 }
 
+// A link's override crash inside the base schedule's outage is one merged
+// outage, not a second crash of a cache that is already dark.
+TEST(TopologyFlagsTest, OverlappingCrashWindowsDoNotAbort) {
+  const std::vector<std::string> base = {"--files=200", "--days=3", "--cache-crash=1h",
+                                         "--crash-outage=30m"};
+  std::vector<std::string> fleet = base;
+  fleet.insert(fleet.end(), {"--fleet=3", "--fleet-crash=0:70m"});
+  const CliResult fleet_result = RunCli(fleet);
+  EXPECT_EQ(fleet_result.code, 0) << fleet_result.err;
+
+  std::vector<std::string> tree = base;
+  tree.insert(tree.end(), {"--hierarchy", "--tier-crash=l1a:70m"});
+  const CliResult tree_result = RunCli(tree);
+  EXPECT_EQ(tree_result.code, 0) << tree_result.err;
+}
+
 TEST(TopologyFlagsTest, FleetRunsAreReproducible) {
   const std::vector<std::string> args = WithSmallWorkload(
       {"--policy=invalidation", "--fleet=4", "--fleet-loss-rate=2:0.3",

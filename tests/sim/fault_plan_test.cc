@@ -229,6 +229,28 @@ TEST(FaultPlanTest, ExchangeFailsWithoutFetchDuringDowntime) {
   EXPECT_EQ(plan.messages_lost(), 0u);  // downtime is not message loss
 }
 
+TEST(FaultPlanTest, OverlappingCrashWindowsMergeIntoOneOutage) {
+  FaultConfig config;
+  config.cache_crashes = {
+      {At(10), Hours(2)},   // restarts at 12
+      {At(1), Hours(1)},    // restarts at 2
+      {At(1) + Minutes(70), Minutes(5)},  // inside [1,2) -> outage ends at 2
+      {At(2), Hours(1)},    // exactly at the restart: a separate crash
+      {At(11), Hours(3)},   // inside [10,12) -> outage stretches to 14
+  };
+  FaultPlan plan(config, At(100));
+  const auto& crashes = plan.cache_crashes();
+  ASSERT_EQ(crashes.size(), 3u);
+  EXPECT_EQ(crashes[0].at, At(1));
+  EXPECT_EQ(crashes[0].outage, Hours(1));
+  EXPECT_EQ(crashes[1].at, At(2));
+  EXPECT_EQ(crashes[1].outage, Hours(1));
+  EXPECT_EQ(crashes[2].at, At(10));
+  EXPECT_EQ(crashes[2].outage, Hours(4));
+  // The configured schedule itself is kept (sorted) for serialization.
+  EXPECT_EQ(plan.config().cache_crashes.size(), 5u);
+}
+
 TEST(FaultPlanTest, EnabledReflectsKnobs) {
   FaultConfig config;
   EXPECT_FALSE(config.Enabled());
