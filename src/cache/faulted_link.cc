@@ -9,6 +9,7 @@ FaultedLink::FaultedLink(ProxyCache* parent, FaultPlan* plan, SimEngine* engine)
     : parent_(parent), plan_(plan), engine_(engine) {
   WEBCC_CHECK(parent != nullptr);
   WEBCC_CHECK(plan != nullptr);
+  WEBCC_CHECK(engine != nullptr);
 }
 
 Upstream::FullReply FaultedLink::FetchFull(ObjectId id, SimTime now) {
@@ -68,7 +69,7 @@ bool FaultedLink::DeliverInvalidation(ObjectId id, SimTime now) {
     return false;  // notice lost in flight; the parent queues it
   }
   const SimDuration jitter = plan_->Jitter();
-  if (jitter > SimDuration(0) && engine_ != nullptr) {
+  if (jitter > SimDuration(0)) {
     engine_->ScheduleAfter(jitter, [this, id] {
       if (!child_->DeliverInvalidation(id, engine_->Now())) {
         // Committed to the wire but refused on arrival (child crashed

@@ -18,8 +18,9 @@
 // possibly after a jitter delay. A jittered delivery that fails on arrival
 // re-parks itself via ProxyCache::QueueChildInvalidation.
 //
-// With the plan disabled every call is a transparent passthrough, keeping
-// the fault-free hierarchy byte-identical.
+// With the plan disabled every call is a transparent passthrough, so a
+// fault-free tree replays exactly as if the child called its parent
+// directly.
 
 #ifndef WEBCC_SRC_CACHE_FAULTED_LINK_H_
 #define WEBCC_SRC_CACHE_FAULTED_LINK_H_
@@ -34,8 +35,8 @@ class SimEngine;
 
 class FaultedLink : public Upstream, public InvalidationSink {
  public:
-  // `plan` and `engine` must outlive the link; `engine` may be null, which
-  // disables jittered downlink delivery (notices deliver synchronously).
+  // `plan` and `engine` must outlive the link; the engine carries jittered
+  // downlink deliveries.
   FaultedLink(ProxyCache* parent, FaultPlan* plan, SimEngine* engine);
 
   // The child cache is constructed after the link (it takes the link as its

@@ -11,34 +11,25 @@
 //
 // Sharded execution: fleet members never talk to each other — member i
 // serves exactly the requests with client_id % N == i and sees every
-// modification — so each member is replayed as its own (origin, cache)
-// world and the per-member statistics are summed in member order. That
-// makes the members embarrassingly parallel: pass a SweepRunner and they
-// shard across its thread pool, field-identical to the serial walk at any
-// --jobs count (tests/core/fleet_test.cc). The summed server columns mean
-// "total origin-side work the fleet generated", exactly what the shared
-// walk measured.
+// modification — so each member is its own one-node cache tree (its own
+// origin and cache) driven by the shared Replay loop (src/core/replay.h),
+// and the per-member statistics are summed in member order. Pass a
+// SweepRunner and the members shard across its thread pool, field-identical
+// to a serial run at any --jobs count (tests/core/fleet_test.cc). The
+// summed server columns mean "total origin-side work the fleet generated".
 //
 // peak_subscriptions is the true fleet-wide CONCURRENT peak: each member
 // records its subscription count as a step function of simulated time and
 // the merge takes the maximum of the summed levels over all event
-// boundaries (simultaneous changes apply atomically per timestamp). On
-// monotone-growth runs — every fault-free, capacity-free fleet — this
-// equals the old summed-member-peaks number exactly; under crash/restart
-// or eviction churn, where per-member counts shrink and regrow, the
-// concurrent peak is the honest, possibly smaller figure the old sum
-// silently over-reported.
+// boundaries (simultaneous changes apply atomically per timestamp). Under
+// crash/restart or eviction churn, where per-member counts shrink and
+// regrow, this can be smaller than the sum of the member peaks.
 //
-// Faults: FleetConfig::faults generalizes the single-cache fault layer to
-// per-link schedules. Each (origin, member) link derives its own config via
-// FaultConfig::ForLink(member) — independently seeded substreams, plus any
-// member-targeted LinkFaultOverride knobs — and the member world replays
-// through RunSimulation's faulted path (engine-scheduled loss, downtime,
-// crash/restart through the snapshot machinery, invalidation redelivery).
-// With faults disabled the walk below is byte-identical to the pre-fault
-// fleet. FaultConfig::snapshot_crash_request indexes the member's OWN
-// replay slice (its i-th served request), matching the observer's
-// request_index stream for that member.
+// Faults: member i's link to its origin carries FaultConfig::ForLink(i) —
+// an independently seeded substream plus any member-targeted
+// LinkFaultOverride knobs. FaultConfig::snapshot_crash_request indexes the
+// member's OWN serves, matching the observer's request_index stream for
+// that member.
 
 #ifndef WEBCC_SRC_CORE_FLEET_H_
 #define WEBCC_SRC_CORE_FLEET_H_
@@ -60,9 +51,9 @@ struct FleetConfig {
   uint32_t num_caches = 10;
   RefreshMode refresh_mode = RefreshMode::kConditionalGet;
   bool preload = true;
-  // Per-link fault schedules (src/sim/fault_plan.h). Enabled() routes every
-  // member world through the engine-based faulted replay; link overrides
-  // address members by index.
+  // Per-link fault schedules (src/sim/fault_plan.h); link overrides address
+  // members by index. Every member rides the same Replay loop whether or
+  // not a plan is enabled.
   FaultConfig faults;
   // Chaos-harness hook: returns the observer for member i's world (null for
   // none). Member worlds run concurrently under a SweepRunner, so distinct

@@ -1,257 +1,12 @@
 #include "src/core/hierarchy.h"
 
 #include <algorithm>
-#include <memory>
-#include <sstream>
 
-#include "src/cache/faulted_link.h"
-#include "src/cache/origin_upstream.h"
-#include "src/cache/snapshot.h"
+#include "src/core/replay.h"
 #include "src/core/simulation.h"
-#include "src/origin/server.h"
-#include "src/sim/engine.h"
 #include "src/util/check.h"
 
 namespace webcc {
-
-namespace {
-
-// The last scheduled workload event plus slack, so trailing redelivery
-// timers and restarts drain before the clock stops (same rule as the
-// single-cache faulted path).
-SimTime FaultHorizon(const Workload& load) {
-  SimTime horizon = SimTime::Epoch();
-  if (!load.requests.empty()) {
-    horizon = std::max(horizon, load.requests.back().at);
-  }
-  if (!load.modifications.empty()) {
-    horizon = std::max(horizon, load.modifications.back().at);
-  }
-  return horizon + Hours(24);
-}
-
-void ObserveLeafServe(SimObserver* observer, const CacheEntry* entry, uint64_t index,
-                      ObjectId object, SimTime at, const ServeResult& served) {
-  if (observer == nullptr) {
-    return;
-  }
-  ServeObservation obs;
-  obs.request_index = index;
-  obs.object = object;
-  obs.at = at;
-  obs.result = served;
-  if (entry != nullptr) {
-    obs.has_entry = true;
-    obs.entry = *entry;
-  }
-  observer->OnServe(obs);
-}
-
-// One crashable cache endpoint: schedules its link plan's crash/restart
-// events on the engine, snapshotting through the same machinery as the
-// single-cache faulted path, and re-drives queued notices on restart via
-// the endpoint's upstream contact hook.
-struct TierEndpoint {
-  ProxyCache* cache = nullptr;
-  FaultConfig link_config;  // ForLink() result for this edge
-  SnapshotRecovery recovery = SnapshotRecovery::kTrustSnapshot;
-  bool cold_start = false;
-  std::string disk_image;
-  std::function<void(SimTime)> on_restart_contact;
-
-  void ResolveRecoveryMode() {
-    ResolveCrashRecovery(link_config.crash_recovery, cache->policy(), &recovery, &cold_start);
-  }
-
-  void ScheduleCrashes(SimEngine& engine, const FaultPlan& plan) {
-    for (const CacheCrashEvent& crash : plan.cache_crashes()) {
-      engine.ScheduleAt(crash.at, [this, &engine] {
-        if (!cold_start) {
-          std::ostringstream os;
-          SaveCacheSnapshot(*cache, os);
-          disk_image = os.str();
-        }
-        cache->Crash(engine.Now());
-      });
-      engine.ScheduleAt(crash.at + crash.outage, [this, &engine] {
-        cache->Restart(engine.Now());
-        if (!disk_image.empty()) {
-          std::istringstream is(disk_image);
-          const int64_t restored = LoadCacheSnapshot(*cache, is, recovery);
-          WEBCC_CHECK_GE(restored, 0) << "crash-time snapshot must reload";
-          disk_image.clear();
-        }
-        if (on_restart_contact) {
-          on_restart_contact(engine.Now());
-        }
-      });
-    }
-  }
-
-  // The chaos harness's arbitrary-index crash hook, leaf-local indexing.
-  void MaybeSnapshotCrashCycle(uint64_t index, SimTime now) {
-    if (link_config.snapshot_crash_request < 0 ||
-        static_cast<uint64_t>(link_config.snapshot_crash_request) != index ||
-        cache->crashed()) {
-      return;
-    }
-    SnapshotCrashCycle(*cache, now, recovery, cold_start);
-    if (on_restart_contact) {
-      on_restart_contact(now);
-    }
-  }
-};
-
-// The fault-injected tree replay: the same leaf walk as the fault-free
-// path, riding a SimEngine so per-link loss/downtime, queued redelivery at
-// both the origin and cache-2, and per-tier crash/restart interleave with
-// the workload in deterministic timestamp order.
-HierarchyResult RunFaultedHierarchySimulation(const Workload& load,
-                                              const HierarchyConfig& config) {
-  SimEngine engine;
-  const SimTime horizon = FaultHorizon(load);
-  FleetFaultPlan plans(config.faults, kNumHierarchyLinks, horizon);
-  FaultPlan& trunk = plans.link(static_cast<uint32_t>(HierarchyLink::kServerL2));
-  FaultPlan& edge_a = plans.link(static_cast<uint32_t>(HierarchyLink::kL2L1a));
-  FaultPlan& edge_b = plans.link(static_cast<uint32_t>(HierarchyLink::kL2L1b));
-
-  OriginServer server(&engine, config.faults.invalidation_retry_interval);
-  server.ArmFaults(&trunk);
-  for (const ObjectSpec& spec : load.objects) {
-    server.store().Create(spec.name, spec.type, spec.size_bytes,
-                          SimTime::Epoch() - spec.initial_age);
-  }
-
-  OriginUpstream origin(&server);
-  origin.ArmFaults(&trunk);
-  CacheConfig cache_config;
-  cache_config.refresh_mode = config.refresh_mode;
-
-  ProxyCache l2("cache-2", &origin, MakePolicy(config.policy), cache_config, &server.store());
-  l2.ArmChildRedelivery(&engine, config.faults.invalidation_retry_interval);
-  FaultedLink link_a(&l2, &edge_a, &engine);
-  FaultedLink link_b(&l2, &edge_b, &engine);
-  ProxyCache l1a("cache-1a", &link_a, MakePolicy(config.policy), cache_config, &server.store());
-  ProxyCache l1b("cache-1b", &link_b, MakePolicy(config.policy), cache_config, &server.store());
-  link_a.SetChild(&l1a);
-  link_b.SetChild(&l1b);
-
-  if (config.preload) {
-    l2.Preload(server.store(), SimTime::Epoch());
-    l1a.Preload(server.store(), SimTime::Epoch());
-    l1b.Preload(server.store(), SimTime::Epoch());
-  }
-  server.ResetStats();
-  l2.ResetStats();
-  l1a.ResetStats();
-  l1b.ResetStats();
-  if (config.leaf_observer_a != nullptr) {
-    config.leaf_observer_a->OnRunStart(l1a, server);
-  }
-  if (config.leaf_observer_b != nullptr) {
-    config.leaf_observer_b->OnRunStart(l1b, server);
-  }
-
-  TierEndpoint tier_l2;
-  tier_l2.cache = &l2;
-  tier_l2.link_config = config.faults.ForLink(0);
-  TierEndpoint tier_a;
-  tier_a.cache = &l1a;
-  tier_a.link_config = config.faults.ForLink(1);
-  TierEndpoint tier_b;
-  tier_b.cache = &l1b;
-  tier_b.link_config = config.faults.ForLink(2);
-  tier_l2.on_restart_contact = [&server, &l2](SimTime at) {
-    const CacheId id = server.IdOf(&l2);
-    if (id != kInvalidCacheId) {
-      server.NoteCacheContact(id, at);
-    }
-  };
-  tier_a.on_restart_contact = [&l2, &link_a](SimTime at) { l2.NoteChildContact(&link_a, at); };
-  tier_b.on_restart_contact = [&l2, &link_b](SimTime at) { l2.NoteChildContact(&link_b, at); };
-  for (TierEndpoint* tier : {&tier_l2, &tier_a, &tier_b}) {
-    tier->ResolveRecoveryMode();
-  }
-  tier_l2.ScheduleCrashes(engine, trunk);
-  tier_a.ScheduleCrashes(engine, edge_a);
-  tier_b.ScheduleCrashes(engine, edge_b);
-
-  size_t mod_i = 0;
-  uint64_t leaf_index_a = 0;
-  uint64_t leaf_index_b = 0;
-  for (const RequestEvent& req : load.requests) {
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      // Co-timed modification bursts advance the engine once, then apply in
-      // schedule order (identical batching to the single-cache path).
-      const SimTime at = load.modifications[mod_i].at;
-      engine.RunUntil(at);
-      do {
-        const ModificationEvent& m = load.modifications[mod_i];
-        server.ModifyObject(m.object_index, at, m.new_size);
-        if (config.leaf_observer_a != nullptr) {
-          config.leaf_observer_a->OnModification(static_cast<ObjectId>(m.object_index), at);
-        }
-        if (config.leaf_observer_b != nullptr) {
-          config.leaf_observer_b->OnModification(static_cast<ObjectId>(m.object_index), at);
-        }
-        ++mod_i;
-      } while (mod_i < load.modifications.size() && load.modifications[mod_i].at == at);
-    }
-    engine.RunUntil(req.at);
-    const bool to_a = req.client_id % 2 == 0;
-    TierEndpoint& tier = to_a ? tier_a : tier_b;
-    uint64_t& leaf_index = to_a ? leaf_index_a : leaf_index_b;
-    SimObserver* observer = to_a ? config.leaf_observer_a : config.leaf_observer_b;
-    tier.MaybeSnapshotCrashCycle(leaf_index, req.at);
-    const CacheEntry* served_entry = nullptr;
-    const ServeResult served =
-        tier.cache->HandleRequest(static_cast<ObjectId>(req.object_index), req.at, &served_entry);
-    ObserveLeafServe(observer, served_entry, leaf_index, static_cast<ObjectId>(req.object_index),
-                     req.at, served);
-    ++leaf_index;
-  }
-  while (mod_i < load.modifications.size()) {
-    const SimTime at = load.modifications[mod_i].at;
-    engine.RunUntil(at);
-    do {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, at, m.new_size);
-      if (config.leaf_observer_a != nullptr) {
-        config.leaf_observer_a->OnModification(static_cast<ObjectId>(m.object_index), at);
-      }
-      if (config.leaf_observer_b != nullptr) {
-        config.leaf_observer_b->OnModification(static_cast<ObjectId>(m.object_index), at);
-      }
-      ++mod_i;
-    } while (mod_i < load.modifications.size() && load.modifications[mod_i].at == at);
-  }
-  // Drain trailing redelivery timers and restarts, bounded by the horizon.
-  engine.RunUntil(horizon);
-  if (config.leaf_observer_a != nullptr) {
-    config.leaf_observer_a->OnRunEnd(l1a, server);
-  }
-  if (config.leaf_observer_b != nullptr) {
-    config.leaf_observer_b->OnRunEnd(l1b, server);
-  }
-
-  HierarchyResult result;
-  result.policy_desc = l2.policy().Describe();
-  result.server = server.stats();
-  result.l2 = l2.stats();
-  result.l1a = l1a.stats();
-  result.l1b = l1b.stats();
-  result.requests = load.requests.size();
-  result.modifications = load.modifications.size();
-  result.child_invalidations_sent = l2.child_invalidations_sent();
-  result.child_invalidations_delivered = l2.child_invalidations_delivered();
-  result.child_invalidations_dropped = l2.child_invalidations_dropped();
-  result.child_invalidations_queued = l2.child_invalidations_queued();
-  result.child_invalidations_redelivered = l2.child_invalidations_redelivered();
-  result.pending_child_invalidations = l2.PendingChildInvalidations();
-  return result;
-}
-
-}  // namespace
 
 double HierarchyResult::WorstLeafStaleRate() const {
   return std::max(l1a.StaleRate(), l1b.StaleRate());
@@ -277,113 +32,44 @@ double HierarchyResult::FanOutAmplification() const {
 HierarchyResult RunHierarchySimulation(const Workload& load, const HierarchyConfig& config) {
   WEBCC_CHECK(load.Validate().empty());
 
-  if (config.faults.Enabled()) {
-    return RunFaultedHierarchySimulation(load, config);
-  }
-
-  OriginServer server;
-  for (const ObjectSpec& spec : load.objects) {
-    server.store().Create(spec.name, spec.type, spec.size_bytes,
-                          SimTime::Epoch() - spec.initial_age);
-  }
-
-  OriginUpstream origin(&server);
-  CacheConfig cache_config;
-  cache_config.refresh_mode = config.refresh_mode;
-
-  ProxyCache l2("cache-2", &origin, MakePolicy(config.policy), cache_config, &server.store());
-  ProxyCache l1a("cache-1a", &l2, MakePolicy(config.policy), cache_config, &server.store());
-  ProxyCache l1b("cache-1b", &l2, MakePolicy(config.policy), cache_config, &server.store());
-
-  if (config.preload) {
-    l2.Preload(server.store(), SimTime::Epoch());
-    l1a.Preload(server.store(), SimTime::Epoch());
-    l1b.Preload(server.store(), SimTime::Epoch());
-  }
-  server.ResetStats();
-  l2.ResetStats();
-  l1a.ResetStats();
-  l1b.ResetStats();
-  if (config.leaf_observer_a != nullptr) {
-    config.leaf_observer_a->OnRunStart(l1a, server);
-  }
-  if (config.leaf_observer_b != nullptr) {
-    config.leaf_observer_b->OnRunStart(l1b, server);
-  }
-
-  // The in-place snapshot crash hook (chaos invariant 4) works on the
-  // fault-free path too, exactly like the single-cache simulators: the base
-  // snapshot_crash_request cycles each leaf before its own i-th serve.
-  SnapshotRecovery crash_recovery = SnapshotRecovery::kTrustSnapshot;
-  bool crash_cold = false;
-  if (config.faults.snapshot_crash_request >= 0) {
-    ResolveCrashRecovery(config.faults.crash_recovery, l1a.policy(), &crash_recovery,
-                         &crash_cold);
-  }
-
-  size_t mod_i = 0;
-  uint64_t leaf_index_a = 0;
-  uint64_t leaf_index_b = 0;
-  for (const RequestEvent& req : load.requests) {
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, m.at, m.new_size);
-      if (config.leaf_observer_a != nullptr) {
-        config.leaf_observer_a->OnModification(static_cast<ObjectId>(m.object_index), m.at);
-      }
-      if (config.leaf_observer_b != nullptr) {
-        config.leaf_observer_b->OnModification(static_cast<ObjectId>(m.object_index), m.at);
-      }
-      ++mod_i;
+  // Node i sits on HierarchyLink i. Requests with even client_id go to
+  // cache-1a, odd to cache-1b.
+  CacheTree tree;
+  tree.policy = config.policy;
+  tree.cache.refresh_mode = config.refresh_mode;
+  tree.preload = config.preload;
+  tree.invalidation_retry_interval = config.faults.invalidation_retry_interval;
+  const char* const names[kNumHierarchyLinks] = {"cache-2", "cache-1a", "cache-1b"};
+  SimObserver* const observers[kNumHierarchyLinks] = {nullptr, config.leaf_observer_a,
+                                                      config.leaf_observer_b};
+  for (uint32_t link = 0; link < kNumHierarchyLinks; ++link) {
+    CacheNode& node = tree.nodes.emplace_back();
+    node.name = names[link];
+    node.link = config.faults.ForLink(link);
+    if (link != static_cast<uint32_t>(HierarchyLink::kServerL2)) {
+      node.parent = 0;
+      node.share_of = 2;
+      node.share_index = link - 1;
+      node.observer = observers[link];
     }
-    const bool to_a = req.client_id % 2 == 0;
-    ProxyCache& leaf = to_a ? l1a : l1b;
-    uint64_t& leaf_index = to_a ? leaf_index_a : leaf_index_b;
-    SimObserver* observer = to_a ? config.leaf_observer_a : config.leaf_observer_b;
-    if (config.faults.snapshot_crash_request >= 0 &&
-        static_cast<uint64_t>(config.faults.snapshot_crash_request) == leaf_index &&
-        !leaf.crashed()) {
-      SnapshotCrashCycle(leaf, req.at, crash_recovery, crash_cold);
-    }
-    const CacheEntry* served_entry = nullptr;
-    const ServeResult served =
-        leaf.HandleRequest(static_cast<ObjectId>(req.object_index), req.at, &served_entry);
-    ObserveLeafServe(observer, served_entry, leaf_index, static_cast<ObjectId>(req.object_index),
-                     req.at, served);
-    ++leaf_index;
   }
-  while (mod_i < load.modifications.size()) {
-    const ModificationEvent& m = load.modifications[mod_i];
-    server.ModifyObject(m.object_index, m.at, m.new_size);
-    if (config.leaf_observer_a != nullptr) {
-      config.leaf_observer_a->OnModification(static_cast<ObjectId>(m.object_index), m.at);
-    }
-    if (config.leaf_observer_b != nullptr) {
-      config.leaf_observer_b->OnModification(static_cast<ObjectId>(m.object_index), m.at);
-    }
-    ++mod_i;
-  }
-  if (config.leaf_observer_a != nullptr) {
-    config.leaf_observer_a->OnRunEnd(l1a, server);
-  }
-  if (config.leaf_observer_b != nullptr) {
-    config.leaf_observer_b->OnRunEnd(l1b, server);
-  }
+  const ReplayResult replay = Replay(load, tree);
 
+  const CacheNodeResult& l2 = replay.nodes[0];
   HierarchyResult result;
-  result.policy_desc = l2.policy().Describe();
-  result.server = server.stats();
-  result.l2 = l2.stats();
-  result.l1a = l1a.stats();
-  result.l1b = l1b.stats();
+  result.policy_desc = replay.policy_desc;
+  result.server = replay.server;
+  result.l2 = l2.stats;
+  result.l1a = replay.nodes[1].stats;
+  result.l1b = replay.nodes[2].stats;
   result.requests = load.requests.size();
   result.modifications = load.modifications.size();
-  result.child_invalidations_sent = l2.child_invalidations_sent();
-  result.child_invalidations_delivered = l2.child_invalidations_delivered();
-  result.child_invalidations_dropped = l2.child_invalidations_dropped();
-  result.child_invalidations_queued = l2.child_invalidations_queued();
-  result.child_invalidations_redelivered = l2.child_invalidations_redelivered();
-  result.pending_child_invalidations = l2.PendingChildInvalidations();
+  result.child_invalidations_sent = l2.child_invalidations_sent;
+  result.child_invalidations_delivered = l2.child_invalidations_delivered;
+  result.child_invalidations_dropped = l2.child_invalidations_dropped;
+  result.child_invalidations_queued = l2.child_invalidations_queued;
+  result.child_invalidations_redelivered = l2.child_invalidations_redelivered;
+  result.pending_child_invalidations = l2.pending_child_invalidations;
   return result;
 }
 

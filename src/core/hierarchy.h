@@ -19,8 +19,9 @@
 // never reaches either leaf — the lost-at-the-trunk-darkens-the-leaves
 // topology effect a collapsed simulation cannot show. Base (non-override)
 // knobs apply to every link: a base downtime window is the origin itself
-// going dark, a base crash schedule crashes every cache in the tree. With
-// faults disabled the replay is the original serial walk, byte-identical.
+// going dark, a base crash schedule crashes every cache in the tree. The
+// tree is a three-node CacheTree driven by the shared Replay loop
+// (src/core/replay.h), faults enabled or not.
 
 #ifndef WEBCC_SRC_CORE_HIERARCHY_H_
 #define WEBCC_SRC_CORE_HIERARCHY_H_

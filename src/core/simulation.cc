@@ -1,14 +1,7 @@
 #include "src/core/simulation.h"
 
-#include <algorithm>
-#include <sstream>
-
-#include "src/cache/origin_upstream.h"
-#include "src/cache/snapshot.h"
-#include "src/origin/server.h"
-#include "src/sim/engine.h"
+#include "src/core/replay.h"
 #include "src/util/check.h"
-#include "src/util/str.h"
 
 namespace webcc {
 
@@ -40,303 +33,29 @@ SimulationConfig SimulationConfig::TraceDriven(PolicyConfig policy) {
   return config;
 }
 
-namespace {
-
-// The last scheduled workload event, plus slack so trailing invalidation
-// retries and restarts get to run before the clock stops.
-SimTime WorkloadHorizon(const Workload& load) {
-  SimTime horizon = SimTime::Epoch();
-  if (!load.requests.empty()) {
-    horizon = std::max(horizon, load.requests.back().at);
-  }
-  if (!load.modifications.empty()) {
-    horizon = std::max(horizon, load.modifications.back().at);
-  }
-  return horizon + Hours(24);
-}
-
-std::unique_ptr<ConsistencyPolicy> BuildCachePolicy(const SimulationConfig& config) {
-  return config.policy_factory ? config.policy_factory() : MakePolicy(config.policy);
-}
-
-// The chaos harness's arbitrary-index crash hook: an instantaneous
-// snapshot->crash->restore cycle immediately before serving request `index`
-// (FaultConfig::snapshot_crash_request). Skipped while a scheduled outage
-// already has the cache dark — a dead process cannot crash again.
-void MaybeSnapshotCrashCycle(const SimulationConfig& config, uint64_t index, ProxyCache& cache,
-                             OriginServer& server, SimTime now) {
-  if (config.faults.snapshot_crash_request < 0 ||
-      static_cast<uint64_t>(config.faults.snapshot_crash_request) != index) {
-    return;
-  }
-  if (cache.crashed()) {
-    return;
-  }
-  SnapshotRecovery recovery = SnapshotRecovery::kTrustSnapshot;
-  bool cold_start = false;
-  ResolveCrashRecovery(config.faults.crash_recovery, cache.policy(), &recovery, &cold_start);
-  SnapshotCrashCycle(cache, now, recovery, cold_start);
-  // First contact after the restart, exactly as the scheduled-crash path.
-  const CacheId id = server.IdOf(&cache);
-  if (id != kInvalidCacheId) {
-    server.NoteCacheContact(id, now);
-  }
-}
-
-// Reports one serve to the observer, entry state included. `entry` is the
-// serving entry HandleRequest already resolved (nullptr if nothing remained
-// cached) — reusing it avoids a second index probe per request.
-void ObserveServe(SimObserver* observer, const CacheEntry* entry, uint64_t index, ObjectId object,
-                  SimTime at, const ServeResult& served) {
-  if (observer == nullptr) {
-    return;
-  }
-  ServeObservation obs;
-  obs.request_index = index;
-  obs.object = object;
-  obs.at = at;
-  obs.result = served;
-  if (entry != nullptr) {
-    obs.has_entry = true;
-    obs.entry = *entry;
-  }
-  observer->OnServe(obs);
-}
-
-// The fault-injected replay: the same merge-walk as the fault-free path, but
-// riding a SimEngine so that invalidation redelivery timers, jittered
-// deliveries, and cache crash/restart events interleave with the workload in
-// deterministic timestamp order.
-SimulationResult RunFaultedSimulation(const Workload& load, const SimulationConfig& config) {
-  SimEngine engine;
-  const SimTime horizon = WorkloadHorizon(load);
-  FaultPlan plan(config.faults, horizon);
-
-  OriginServer server(&engine, config.faults.invalidation_retry_interval);
-  server.ArmFaults(&plan);
-  for (const ObjectSpec& spec : load.objects) {
-    server.store().Create(spec.name, spec.type, spec.size_bytes,
-                          SimTime::Epoch() - spec.initial_age);
-  }
-
-  OriginUpstream upstream(&server);
-  upstream.ArmFaults(&plan);
-  CacheConfig cache_config;
-  cache_config.refresh_mode = config.refresh_mode;
-  cache_config.capacity_bytes = config.cache_capacity_bytes;
-  ProxyCache cache("proxy", &upstream, BuildCachePolicy(config), cache_config,
-                   &server.store());
-
-  if (config.preload) {
-    cache.Preload(server.store(), SimTime::Epoch());
-  }
-  server.ResetStats();
-  cache.ResetStats();
-  if (config.observer != nullptr) {
-    config.observer->OnRunStart(cache, server);
-  }
-
-  // Crash/restart schedule. The snapshot string stands in for the on-disk
-  // metadata file: captured at crash time (a perfectly synced disk), gone in
-  // kColdStart mode (the disk died with the process). §6: invalidation-
-  // protocol recovery must be conservative — the server forgot nothing, but
-  // the cache cannot know which notices it missed (kAuto resolution).
-  SnapshotRecovery recovery = SnapshotRecovery::kTrustSnapshot;
-  bool cold_start = false;
-  ResolveCrashRecovery(config.faults.crash_recovery, cache.policy(), &recovery, &cold_start);
-  std::string disk_image;
-  for (const CacheCrashEvent& crash : plan.cache_crashes()) {
-    engine.ScheduleAt(crash.at, [&engine, &cache, &disk_image, cold_start] {
-      if (!cold_start) {
-        std::ostringstream os;
-        SaveCacheSnapshot(cache, os);
-        disk_image = os.str();
-      }
-      cache.Crash(engine.Now());
-    });
-    engine.ScheduleAt(crash.at + crash.outage,
-                      [&engine, &cache, &server, &disk_image, recovery] {
-                        cache.Restart(engine.Now());
-                        if (!disk_image.empty()) {
-                          std::istringstream is(disk_image);
-                          const int64_t restored = LoadCacheSnapshot(cache, is, recovery);
-                          WEBCC_CHECK_GE(restored, 0) << "crash-time snapshot must reload";
-                          disk_image.clear();
-                        }
-                        // First contact after the restart: the server re-drives
-                        // whatever invalidations it queued for us meanwhile.
-                        const CacheId id = server.IdOf(&cache);
-                        if (id != kInvalidCacheId) {
-                          server.NoteCacheContact(id, engine.Now());
-                        }
-                      });
-  }
-
-  const SimTime warmup_end = SimTime::Epoch() + config.warmup;
-  bool measuring = config.warmup.seconds() == 0;
-  size_t mod_i = 0;
-  uint64_t req_index = 0;
-  for (const RequestEvent& req : load.requests) {
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      // Trace-compiled and campus workloads cluster changes into co-timed
-      // bursts; advance the engine once per burst, then apply its members
-      // in schedule order. RunUntil(at) for the later members would be a
-      // no-op anyway, so batching is behavior-identical.
-      const SimTime at = load.modifications[mod_i].at;
-      engine.RunUntil(at);
-      do {
-        const ModificationEvent& m = load.modifications[mod_i];
-        server.ModifyObject(m.object_index, at, m.new_size);
-        if (config.observer != nullptr) {
-          config.observer->OnModification(static_cast<ObjectId>(m.object_index), at);
-        }
-        ++mod_i;
-      } while (mod_i < load.modifications.size() && load.modifications[mod_i].at == at);
-    }
-    engine.RunUntil(req.at);
-    if (!measuring && req.at >= warmup_end) {
-      server.ResetStats();
-      cache.ResetStats();
-      measuring = true;
-    }
-    MaybeSnapshotCrashCycle(config, req_index, cache, server, req.at);
-    const CacheEntry* served_entry = nullptr;
-    const ServeResult served =
-        cache.HandleRequest(static_cast<ObjectId>(req.object_index), req.at, &served_entry);
-    ObserveServe(config.observer, served_entry, req_index, static_cast<ObjectId>(req.object_index),
-                 req.at, served);
-    ++req_index;
-  }
-  while (mod_i < load.modifications.size()) {
-    const SimTime at = load.modifications[mod_i].at;
-    engine.RunUntil(at);
-    do {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, at, m.new_size);
-      if (config.observer != nullptr) {
-        config.observer->OnModification(static_cast<ObjectId>(m.object_index), at);
-      }
-      ++mod_i;
-    } while (mod_i < load.modifications.size() && load.modifications[mod_i].at == at);
-  }
-  // Drain trailing redelivery timers and restarts. Bounded by the horizon:
-  // a flush timer for a permanently dark cache reschedules forever and must
-  // not spin the run loop.
-  engine.RunUntil(horizon);
-  if (config.observer != nullptr) {
-    config.observer->OnRunEnd(cache, server);
-  }
-
-  SimulationResult result;
-  result.workload_name = load.name;
-  result.policy_desc = cache.policy().Describe();
-  result.server = server.stats();
-  result.cache = cache.stats();
-  result.metrics = ComputeMetrics(result.server, result.cache);
-  return result;
-}
-
-}  // namespace
-
-void ResolveCrashRecovery(CrashRecovery mode, const ConsistencyPolicy& policy,
-                          SnapshotRecovery* recovery, bool* cold_start) {
-  *recovery = SnapshotRecovery::kTrustSnapshot;
-  *cold_start = false;
-  switch (mode) {
-    case CrashRecovery::kAuto:
-      *recovery = policy.UsesServerInvalidation() ? SnapshotRecovery::kRevalidateAll
-                                                  : SnapshotRecovery::kTrustSnapshot;
-      break;
-    case CrashRecovery::kTrustSnapshot:
-      *recovery = SnapshotRecovery::kTrustSnapshot;
-      break;
-    case CrashRecovery::kRevalidateAll:
-      *recovery = SnapshotRecovery::kRevalidateAll;
-      break;
-    case CrashRecovery::kColdStart:
-      *cold_start = true;
-      break;
-  }
-}
-
 SimulationResult RunSimulation(const Workload& load, const SimulationConfig& config) {
   WEBCC_CHECK(load.Validate().empty()) << "workload failed validation";
 
-  if (config.faults.Enabled()) {
-    return RunFaultedSimulation(load, config);
-  }
-
-  OriginServer server;
-  for (const ObjectSpec& spec : load.objects) {
-    server.store().Create(spec.name, spec.type, spec.size_bytes,
-                          SimTime::Epoch() - spec.initial_age);
-  }
-
-  OriginUpstream upstream(&server);
-  CacheConfig cache_config;
-  cache_config.refresh_mode = config.refresh_mode;
-  cache_config.capacity_bytes = config.cache_capacity_bytes;
-  ProxyCache cache("proxy", &upstream, BuildCachePolicy(config), cache_config,
-                   &server.store());
-
-  if (config.preload) {
-    cache.Preload(server.store(), SimTime::Epoch());
-  }
-  // Preload must not count as consistency traffic.
-  server.ResetStats();
-  cache.ResetStats();
-  if (config.observer != nullptr) {
-    config.observer->OnRunStart(cache, server);
-  }
-
-  // Merge-walk; ties resolve modification-before-request.
-  const SimTime warmup_end = SimTime::Epoch() + config.warmup;
-  bool measuring = config.warmup.seconds() == 0;
-  size_t mod_i = 0;
-  uint64_t req_index = 0;
-  for (const RequestEvent& req : load.requests) {
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, m.at, m.new_size);
-      if (config.observer != nullptr) {
-        config.observer->OnModification(static_cast<ObjectId>(m.object_index), m.at);
-      }
-      ++mod_i;
-    }
-    if (!measuring && req.at >= warmup_end) {
-      server.ResetStats();
-      cache.ResetStats();
-      measuring = true;
-    }
-    MaybeSnapshotCrashCycle(config, req_index, cache, server, req.at);
-    // Object ids are dense and assigned in creation order, so the workload's
-    // object_index doubles as the ObjectId.
-    const CacheEntry* served_entry = nullptr;
-    const ServeResult served =
-        cache.HandleRequest(static_cast<ObjectId>(req.object_index), req.at, &served_entry);
-    ObserveServe(config.observer, served_entry, req_index, static_cast<ObjectId>(req.object_index),
-                 req.at, served);
-    ++req_index;
-  }
-  // Trailing modifications (after the last request) still cost invalidation
-  // traffic under the invalidation protocol.
-  while (mod_i < load.modifications.size()) {
-    const ModificationEvent& m = load.modifications[mod_i];
-    server.ModifyObject(m.object_index, m.at, m.new_size);
-    if (config.observer != nullptr) {
-      config.observer->OnModification(static_cast<ObjectId>(m.object_index), m.at);
-    }
-    ++mod_i;
-  }
-  if (config.observer != nullptr) {
-    config.observer->OnRunEnd(cache, server);
-  }
+  CacheTree tree;
+  tree.policy = config.policy;
+  tree.policy_factory = config.policy_factory;
+  tree.cache.refresh_mode = config.refresh_mode;
+  tree.cache.capacity_bytes = config.cache_capacity_bytes;
+  tree.preload = config.preload;
+  tree.warmup = config.warmup;
+  tree.invalidation_retry_interval = config.faults.invalidation_retry_interval;
+  CacheNode& proxy = tree.nodes.emplace_back();
+  proxy.name = "proxy";
+  proxy.link = config.faults;
+  proxy.share_of = 1;
+  proxy.observer = config.observer;
+  const ReplayResult replay = Replay(load, tree);
 
   SimulationResult result;
   result.workload_name = load.name;
-  result.policy_desc = cache.policy().Describe();
-  result.server = server.stats();
-  result.cache = cache.stats();
+  result.policy_desc = replay.policy_desc;
+  result.server = replay.server;
+  result.cache = replay.nodes.front().stats;
   result.metrics = ComputeMetrics(result.server, result.cache);
   return result;
 }

@@ -11,8 +11,10 @@
 //                               warm and the metrics isolate consistency
 //                               traffic)
 //
-// Replay is a deterministic merge-walk over the modification and request
-// streams — a modification at time t is visible to a request at time t.
+// A run is a one-node tree driven by the shared Replay loop
+// (src/core/replay.h): a deterministic merge-walk over the modification and
+// request streams — a modification at time t is visible to a request at
+// time t.
 
 #ifndef WEBCC_SRC_CORE_SIMULATION_H_
 #define WEBCC_SRC_CORE_SIMULATION_H_
@@ -24,7 +26,6 @@
 
 #include "src/cache/policy_factory.h"
 #include "src/cache/proxy_cache.h"
-#include "src/cache/snapshot.h"
 #include "src/core/metrics.h"
 #include "src/sim/fault_plan.h"
 #include "src/workload/workload.h"
@@ -42,8 +43,8 @@ struct ServeObservation {
   CacheEntry entry;        // meaningful only when has_entry
 };
 
-// Model-based-checking hooks (the chaos oracle, src/chaos/). Both simulation
-// paths report every applied modification and every serve in replay order;
+// Model-based-checking hooks (the chaos oracle, src/chaos/). The replay
+// reports every applied modification and every serve in replay order;
 // OnRunEnd fires once after trailing events drain, immediately before the
 // run's statistics are collected. Hooks may throw — the chaos oracle throws
 // OracleViolation — and the exception propagates out of RunSimulation.
@@ -79,10 +80,11 @@ struct SimulationConfig {
   // request at or after it — the standard way to exclude cold-start
   // transients without preloading.
   SimDuration warmup = SimDuration(0);
-  // Fault injection (src/sim/fault_plan.h). When faults.Enabled() is false
-  // the replay takes the original engine-free path, byte-for-byte; when
-  // enabled, the run rides a SimEngine so loss, downtime, crash/restart, and
-  // invalidation redelivery are scheduled deterministically from the seed.
+  // Fault injection (src/sim/fault_plan.h): the cache's link to the origin.
+  // Every run rides the one Replay loop (src/core/replay.h) and its
+  // SimEngine, so loss, downtime, crash/restart and invalidation redelivery
+  // are scheduled deterministically from the seed. A disabled plan is a
+  // passthrough, and an armed all-zero plan changes nothing.
   FaultConfig faults;
 
   // Chaos-harness hooks — both inert by default.
@@ -110,13 +112,6 @@ struct SimulationResult {
 
 // Replays `load` under `config`. Deterministic: equal inputs, equal outputs.
 SimulationResult RunSimulation(const Workload& load, const SimulationConfig& config);
-
-// Maps the sim-layer recovery mode onto the cache-layer snapshot modes,
-// resolving kAuto against the policy actually in use (§6: invalidation
-// recovery must be conservative). Shared by the single-cache, fleet, and
-// hierarchy faulted paths so a crash recovers identically in any topology.
-void ResolveCrashRecovery(CrashRecovery mode, const ConsistencyPolicy& policy,
-                          SnapshotRecovery* recovery, bool* cold_start);
 
 }  // namespace webcc
 

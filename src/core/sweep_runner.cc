@@ -1,6 +1,5 @@
 #include "src/core/sweep_runner.h"
 
-#include <atomic>
 #include <utility>
 
 #include "src/util/thread_pool.h"
@@ -8,11 +7,6 @@
 namespace webcc {
 
 namespace {
-
-// Monotonic execution counters for the bench harness; ordering across
-// threads is irrelevant, only the totals are read.
-std::atomic<uint64_t> g_points_run{0};
-std::atomic<uint64_t> g_requests_replayed{0};
 
 std::vector<SweepPointSpec> AlexSpecs(const SimulationConfig& base,
                                       const std::vector<double>& threshold_percents) {
@@ -39,11 +33,6 @@ std::vector<SweepPointSpec> TtlSpecs(const SimulationConfig& base,
 }
 
 }  // namespace
-
-SweepExecStats GlobalSweepExecStats() {
-  return SweepExecStats{g_points_run.load(std::memory_order_relaxed),
-                        g_requests_replayed.load(std::memory_order_relaxed)};
-}
 
 // Thin wrapper so sweep_runner.h does not pull threading headers into every
 // includer of the experiment layer.
@@ -93,8 +82,6 @@ std::vector<SweepSeries> SweepRunner::RunGrid(std::string label, std::string par
     SweepPoint& point = out[w].points[p];
     point.param = specs[p].param;
     point.result = RunSimulation(load, specs[p].config);
-    g_points_run.fetch_add(1, std::memory_order_relaxed);
-    g_requests_replayed.fetch_add(load.requests.size(), std::memory_order_relaxed);
   });
   return out;
 }
@@ -145,8 +132,6 @@ std::vector<SimulationResult> SweepRunner::RunInvalidationMany(
   std::vector<SimulationResult> out(loads.size());
   Dispatch(loads.size(), [&](size_t w) {
     out[w] = RunSimulation(loads[w], config);
-    g_points_run.fetch_add(1, std::memory_order_relaxed);
-    g_requests_replayed.fetch_add(loads[w].requests.size(), std::memory_order_relaxed);
   });
   return out;
 }

@@ -12,8 +12,9 @@
 //
 // Lock discipline: this class intentionally has no mutex-guarded members
 // (nothing here to annotate with WEBCC_GUARDED_BY). Cross-thread state is
-// two relaxed atomic counters in the .cc (merely statistics) and the pool's
-// own queue, whose members are annotated in src/util/thread_pool.h.
+// the pool's own queue, whose members are annotated in
+// src/util/thread_pool.h, and Replay's two relaxed work counters
+// (GlobalSweepExecStats, merely statistics).
 
 #ifndef WEBCC_SRC_CORE_SWEEP_RUNNER_H_
 #define WEBCC_SRC_CORE_SWEEP_RUNNER_H_
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/core/replay.h"
 
 namespace webcc {
 
@@ -33,14 +35,6 @@ struct SweepPointSpec {
   double param = 0.0;
   SimulationConfig config;
 };
-
-// Cumulative execution counters, exposed so the bench harness can report
-// points/sec and replayed-events/sec without instrumenting every figure.
-struct SweepExecStats {
-  uint64_t points = 0;    // simulation runs completed
-  uint64_t requests = 0;  // workload request events replayed across them
-};
-SweepExecStats GlobalSweepExecStats();
 
 class SweepRunner {
  public:

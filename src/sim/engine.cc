@@ -38,7 +38,7 @@ uint64_t SimEngine::Run() {
   return n;
 }
 
-uint64_t SimEngine::RunUntil(SimTime deadline) {
+uint64_t SimEngine::RunDueEvents(SimTime deadline) {
   uint64_t n = 0;
   while (true) {
     auto next = queue_.PeekTime();

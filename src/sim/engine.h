@@ -42,7 +42,13 @@ class SimEngine {
   // Runs events with time <= deadline; afterwards Now() == max(deadline,
   // Now()) even if the queue emptied earlier, so post-run bookkeeping sees a
   // consistent end-of-experiment clock.
-  uint64_t RunUntil(SimTime deadline);
+  uint64_t RunUntil(SimTime deadline) {
+    if (queue_.empty()) {  // the common case: a replay with nothing scheduled
+      now_ = deadline < now_ ? now_ : deadline;
+      return 0;
+    }
+    return RunDueEvents(deadline);
+  }
 
   // Executes exactly one event if one is pending. Returns whether it did.
   bool Step();
@@ -54,6 +60,8 @@ class SimEngine {
   size_t pending_events() const { return queue_.pending(); }
 
  private:
+  uint64_t RunDueEvents(SimTime deadline);
+
   EventQueue queue_;
   SimTime now_ = SimTime::Epoch();
   uint64_t events_executed_ = 0;

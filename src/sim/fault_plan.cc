@@ -102,6 +102,7 @@ FaultConfig FaultConfig::ForLink(uint32_t link) const {
 
 FaultPlan::FaultPlan(const FaultConfig& config, SimTime horizon)
     : config_(config),
+      enabled_(config.Enabled()),
       loss_rng_(SubSeed(config.seed, kLossStream)),
       jitter_rng_(SubSeed(config.seed, kJitterStream)),
       backoff_rng_(SubSeed(config.seed, kBackoffStream)) {

@@ -103,7 +103,9 @@ struct LinkFaultOverride {
 
 struct FaultConfig {
   // Arms the fault machinery even when every knob is zero — used by the
-  // no-op property tests; Enabled() is what the simulators consult.
+  // no-op property tests. Enabled() decides only whether a link's FaultPlan
+  // takes its faulted branches (the upstreams, the origin, FaultedLink);
+  // the replay loop is the same either way.
   bool armed = false;
   uint64_t seed = 0x5eedFA17;
 
@@ -134,15 +136,13 @@ struct FaultConfig {
   // with this replay index (0-based), losing no simulated time. This is the
   // arbitrary-event-index crash hook the consistency oracle's invariant 4
   // compares against an uninterrupted run, so — unlike cache_crashes — it is
-  // deliberately NOT part of Enabled(): setting it must not reroute a run
-  // onto the faulted simulation path. Honored by both paths.
+  // deliberately NOT part of Enabled(): setting it must not arm the link's
+  // faulted branches.
   int64_t snapshot_crash_request = -1;
 
   // Per-link overrides (fleet members, hierarchy edges). The single-cache
   // simulators ignore them; RunFleetSimulation / RunHierarchySimulation fold
-  // them in via ForLink(). A non-empty list counts as Enabled() so the
-  // topology simulators arm their faulted paths even when every base knob
-  // is zero.
+  // them in via ForLink(). A non-empty list counts as Enabled().
   std::vector<LinkFaultOverride> link_overrides;
 
   // Derives link `link`'s own config: the base knobs with this link's
@@ -170,7 +170,9 @@ class FaultPlan {
   FaultPlan(const FaultConfig& config, SimTime horizon);
 
   const FaultConfig& config() const { return config_; }
-  [[nodiscard]] bool enabled() const { return config_.Enabled(); }
+  // config().Enabled(), read once at construction: the upstreams and the
+  // origin ask on every exchange.
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   // Merged, sorted, non-overlapping origin downtime.
   const std::vector<DowntimeWindow>& server_downtime() const { return windows_; }
@@ -227,6 +229,7 @@ class FaultPlan {
 
  private:
   FaultConfig config_;
+  bool enabled_;
   std::vector<DowntimeWindow> windows_;
   std::vector<CacheCrashEvent> crashes_;
   Rng loss_rng_;
