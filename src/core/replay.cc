@@ -186,6 +186,12 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
       WEBCC_CHECK_EQ(i, 0u) << "only the root hangs off the origin";
       server.ArmFaults(node.plan.get());
       origin.ArmFaults(node.plan.get());
+      node.contact_upstream = [&server, &node](SimTime at) {
+        const CacheId id = server.IdOf(node.cache.get());
+        if (id != kInvalidCacheId) {
+          server.NoteCacheContact(id, at);
+        }
+      };
     } else {
       WEBCC_CHECK(spec.parent >= 0 && static_cast<size_t>(spec.parent) < i)
           << "a node's parent must be an earlier node";
@@ -193,6 +199,9 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
       parent.ArmChildRedelivery(&engine, tree.invalidation_retry_interval);
       node.link = std::make_unique<FaultedLink>(&parent, node.plan.get(), &engine);
       upstream = node.link.get();
+      node.contact_upstream = [&parent, link = node.link.get()](SimTime at) {
+        parent.NoteChildContact(link, at);
+      };
     }
     node.cache = std::make_unique<ProxyCache>(
         spec.name, upstream,
@@ -200,15 +209,6 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
         &server.store());
     if (node.link != nullptr) {
       node.link->SetChild(node.cache.get());
-      node.contact_upstream = [&parent = *nodes[spec.parent].cache, link = node.link.get()](
-                                  SimTime at) { parent.NoteChildContact(link, at); };
-    } else {
-      node.contact_upstream = [&server, cache = node.cache.get()](SimTime at) {
-        const CacheId id = server.IdOf(cache);
-        if (id != kInvalidCacheId) {
-          server.NoteCacheContact(id, at);
-        }
-      };
     }
     ResolveCrashRecovery(spec.link.crash_recovery, node.cache->policy(), &node.recovery,
                          &node.cold_start);

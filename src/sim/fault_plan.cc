@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -482,15 +481,6 @@ std::optional<FaultConfig> FaultPlan::Parse(std::istream& in, FaultPlanParseErro
     }
   }
   return config;
-}
-
-FleetFaultPlan::FleetFaultPlan(const FaultConfig& base, uint32_t num_links, SimTime horizon) {
-  WEBCC_CHECK_GT(num_links, 0u) << "FleetFaultPlan needs at least one link";
-  WEBCC_CHECK(num_links <= kMaxLinks) << "FleetFaultPlan: too many links";
-  plans_.reserve(num_links);
-  for (uint32_t i = 0; i < num_links; ++i) {
-    plans_.push_back(std::make_unique<FaultPlan>(base.ForLink(i), horizon));
-  }
 }
 
 }  // namespace webcc

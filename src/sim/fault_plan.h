@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -236,25 +235,6 @@ class FaultPlan {
   Rng jitter_rng_;
   Rng backoff_rng_;
   uint64_t messages_lost_ = 0;
-};
-
-// The per-link fault plans for one multi-cache world: one FaultPlan per
-// link, each built from ForLink(i)'s independently-seeded config. Plans
-// have stable addresses for the bundle's lifetime, so ArmFaults pointers
-// into it stay valid. Construction is pure: equal (base, num_links,
-// horizon) builds bit-identical schedules at any --jobs count. Fleet member
-// worlds that run on separate threads construct their own single plan from
-// ForLink(member) instead of sharing a bundle — plans are single-threaded.
-class FleetFaultPlan {
- public:
-  FleetFaultPlan(const FaultConfig& base, uint32_t num_links, SimTime horizon);
-
-  uint32_t num_links() const { return static_cast<uint32_t>(plans_.size()); }
-  FaultPlan& link(uint32_t i) { return *plans_[i]; }
-  const FaultPlan& link(uint32_t i) const { return *plans_[i]; }
-
- private:
-  std::vector<std::unique_ptr<FaultPlan>> plans_;
 };
 
 // Outcome of driving one request/reply exchange through the fault model.
