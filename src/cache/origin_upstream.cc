@@ -11,7 +11,7 @@ OriginUpstream::OriginUpstream(OriginServer* server) : server_(server) {
 
 Upstream::FullReply OriginUpstream::FetchFull(ObjectId id, SimTime now) {
   FullReply reply;
-  if (faults_ == nullptr || !faults_->enabled()) {
+  if (faults_ == nullptr) {
     const auto result = server_->HandleGet(id, now);
     reply.body_bytes = result.body_bytes;
     reply.version = result.version;
@@ -37,7 +37,7 @@ Upstream::FullReply OriginUpstream::FetchFull(ObjectId id, SimTime now) {
 Upstream::CondReply OriginUpstream::FetchIfModified(ObjectId id, uint64_t held_version,
                                                     SimTime now) {
   CondReply reply;
-  if (faults_ == nullptr || !faults_->enabled()) {
+  if (faults_ == nullptr) {
     const auto result = server_->HandleConditionalGet(id, held_version, now);
     reply.modified = result.modified;
     reply.body_bytes = result.body_bytes;

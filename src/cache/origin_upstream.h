@@ -16,9 +16,9 @@ class OriginUpstream : public Upstream {
   explicit OriginUpstream(OriginServer* server);
 
   // Routes every exchange through `plan` (message loss, downtime, bounded
-  // retry). Null disarms: fetches become the original infallible direct
-  // calls. The plan must outlive this upstream.
-  void ArmFaults(FaultPlan* plan) { faults_ = plan; }
+  // retry). Null or a disabled plan disarms: fetches become the original
+  // infallible direct calls. The plan must outlive this upstream.
+  void ArmFaults(FaultPlan* plan) { faults_ = plan != nullptr && plan->enabled() ? plan : nullptr; }
 
   FullReply FetchFull(ObjectId id, SimTime now) override;
   CondReply FetchIfModified(ObjectId id, uint64_t held_version, SimTime now) override;
@@ -32,7 +32,7 @@ class OriginUpstream : public Upstream {
   CacheId IdFor(InvalidationSink* sink);
 
   OriginServer* server_;
-  FaultPlan* faults_ = nullptr;
+  FaultPlan* faults_ = nullptr;  // null unless an enabled plan is armed
   std::unordered_map<InvalidationSink*, CacheId> cache_ids_;
 };
 

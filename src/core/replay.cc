@@ -93,30 +93,38 @@ struct LiveNode {
   // leaf's crash_request-th serve, skipped while a scheduled outage already
   // has the cache dark (a dead process cannot crash again).
   void Serve(const RequestEvent& req) {
-    if (served == crash_request && !cache->crashed()) {
+    if (served == crash_request && !cache->crashed()) [[unlikely]] {
       SnapshotCrashCycle(*cache, req.at, recovery, cold_start);
       contact_upstream(req.at);
     }
     // Object ids are dense and assigned in creation order, so the workload's
     // object_index doubles as the ObjectId.
     const auto object = static_cast<ObjectId>(req.object_index);
-    const CacheEntry* entry = nullptr;
-    const ServeResult served_result = cache->HandleRequest(object, req.at, &entry);
-    if (observer != nullptr) {
-      // Reuses the serving entry HandleRequest resolved instead of probing
-      // the index a second time.
-      ServeObservation obs;
-      obs.request_index = served;
-      obs.object = object;
-      obs.at = req.at;
-      obs.result = served_result;
-      if (entry != nullptr) {
-        obs.has_entry = true;
-        obs.entry = *entry;
-      }
-      observer->OnServe(obs);
+    if (observer != nullptr) [[unlikely]] {
+      ServeObserved(object, req.at);
+    } else {
+      // Only an observer needs the serving entry; resolving it costs a probe.
+      cache->HandleRequest(object, req.at);
     }
     ++served;
+  }
+
+  // Serves and reports to the observer, reusing the serving entry
+  // HandleRequest resolved instead of probing the index a second time. Out
+  // of line so the unobserved serve loop stays small.
+  [[gnu::noinline]] void ServeObserved(ObjectId object, SimTime at) {
+    const CacheEntry* entry = nullptr;
+    const ServeResult result = cache->HandleRequest(object, at, &entry);
+    ServeObservation obs;
+    obs.request_index = served;
+    obs.object = object;
+    obs.at = at;
+    obs.result = result;
+    if (entry != nullptr) {
+      obs.has_entry = true;
+      obs.entry = *entry;
+    }
+    observer->OnServe(obs);
   }
 };
 
@@ -247,18 +255,20 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
   // Trace-compiled and campus workloads cluster changes into co-timed
   // bursts: advance the engine once per burst, then apply its members in
   // schedule order.
-  size_t mod_i = 0;
-  const auto apply_burst = [&] {
-    const SimTime at = load.modifications[mod_i].at;
-    engine.RunUntil(at);
-    do {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, at, m.new_size);
-      for (SimObserver* observer : observers) {
-        observer->OnModification(static_cast<ObjectId>(m.object_index), at);
-      }
-      ++mod_i;
-    } while (mod_i < load.modifications.size() && load.modifications[mod_i].at == at);
+  const ModificationEvent* next_mod = load.modifications.data();
+  const ModificationEvent* const mods_end = next_mod + load.modifications.size();
+  const auto apply_modifications_until = [&](SimTime until) {
+    while (next_mod != mods_end && next_mod->at <= until) {
+      const SimTime at = next_mod->at;
+      engine.RunUntil(at);
+      do {
+        server.ModifyObject(next_mod->object_index, at, next_mod->new_size);
+        for (SimObserver* observer : observers) {
+          observer->OnModification(static_cast<ObjectId>(next_mod->object_index), at);
+        }
+        ++next_mod;
+      } while (next_mod != mods_end && next_mod->at == at);
+    }
   };
 
   // Merge-walk; ties resolve modification-before-request.
@@ -269,9 +279,7 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
     if (leaf == nullptr) {
       continue;
     }
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      apply_burst();
-    }
+    apply_modifications_until(req.at);
     engine.RunUntil(req.at);
     if (!measuring && req.at >= warmup_end) {
       reset_stats();
@@ -280,9 +288,7 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
     leaf->Serve(req);
   }
   // Trailing modifications still cost invalidation traffic.
-  while (mod_i < load.modifications.size()) {
-    apply_burst();
-  }
+  apply_modifications_until(horizon);
   // Drain trailing redelivery timers and restarts. Bounded by the horizon:
   // a flush timer for a permanently dark cache reschedules forever.
   engine.RunUntil(horizon);

@@ -104,7 +104,7 @@ void OriginServer::ModifyObject(ObjectId id, SimTime at, int64_t new_size) {
 }
 
 void OriginServer::SendInvalidation(CacheId cache, ObjectId id, SimTime now, bool is_retry) {
-  if (faults_ != nullptr && faults_->enabled()) {
+  if (faults_ != nullptr) {
     FaultedSend(cache, id, now, /*from_queue=*/is_retry);
     return;
   }

@@ -126,8 +126,9 @@ class OriginServer {
   // Arms fault injection on the invalidation path: notices pass a loss draw
   // and a server-uptime check, undeliverable ones are queued per cache
   // (deduplicated — a second change to a queued object is one notice) and
-  // re-driven on a retry_interval timer. Null disarms. Plan must outlive us.
-  void ArmFaults(FaultPlan* plan) { faults_ = plan; }
+  // re-driven on a retry_interval timer. Null or a disabled plan disarms.
+  // Plan must outlive us.
+  void ArmFaults(FaultPlan* plan) { faults_ = plan != nullptr && plan->enabled() ? plan : nullptr; }
 
   // A cache got back in touch (reconnect/restart): immediately re-drive its
   // queued invalidations instead of waiting out the retry timer. Paper §1:
@@ -173,7 +174,7 @@ class OriginServer {
   ExpiresProvider expires_provider_;
   ObjectStore store_;
   ServerStats stats_;
-  FaultPlan* faults_ = nullptr;
+  FaultPlan* faults_ = nullptr;  // null unless an enabled plan is armed
   std::vector<InvalidationSink*> sinks_;             // indexed by CacheId
   std::vector<std::vector<bool>> subscriptions_;     // [cache][object]
   size_t subscription_count_ = 0;
