@@ -43,7 +43,7 @@ const Workload& ResolveWorkload(const TrialSpec& spec, Workload& storage) {
 }
 
 // The recovery mode the snapshot restore will actually use. Mirrors
-// ResolveCrashRecovery (simulation.cc) without needing the live policy
+// ResolveCrashRecovery (replay.cc) without needing the live policy
 // object: kAuto resolves by the DECLARED policy kind, which is faithful
 // because only the invalidation policy answers UsesServerInvalidation()
 // true and the adaptive tuner (whose answer could drift mid-run) never

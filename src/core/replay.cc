@@ -139,7 +139,8 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
   WEBCC_CHECK(!tree.nodes.empty()) << "a cache tree needs a root";
   WEBCC_CHECK_EQ(tree.nodes.front().parent, CacheNode::kOrigin);
 
-  // Request routing: residue of client_id modulo the leaves' common share_of.
+  // Request routing: residue of client_id modulo the leaves' common share_of
+  // (no division per request in the common single-leaf tree).
   uint32_t share_of = 0;
   for (const CacheNode& node : tree.nodes) {
     if (node.share_of != 0) {
