@@ -39,7 +39,7 @@ int main() {
   Emit(Table1Mutability(truth, PaperTable1Targets()), "table1_mutability_truth");
 
   for (size_t i = 0; i < truth.size(); ++i) {
-    const auto& profile = CampusServerProfile::AllTable1()[i];
+    const CampusServerProfile profile = CampusServerProfile::AllTable1()[i];
     std::printf("%s: per-day change probability %.2f%% (paper quotes 1.8%% for HCS and the "
                 "Bestavros range 0.5-2.0%%)\n",
                 truth[i].server.c_str(),
