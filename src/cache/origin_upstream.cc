@@ -5,14 +5,22 @@
 
 namespace webcc {
 
-OriginUpstream::OriginUpstream(OriginServer* server) : server_(server) {
+OriginUpstream::OriginUpstream(OriginServer* server, FaultPlan* plan)
+    : server_(server), faults_(plan != nullptr && plan->enabled() ? plan : nullptr) {
   WEBCC_CHECK(server != nullptr);
+  id_ = server_->RegisterCache();
+  server_->ArmFaults(id_, faults_);
+}
+
+void OriginUpstream::SetCache(InvalidationSink* cache) {
+  cache_ = cache;
+  server_->SetSink(id_, cache);
 }
 
 Upstream::FullReply OriginUpstream::FetchFull(ObjectId id, SimTime now) {
   FullReply reply;
   if (faults_ == nullptr) {
-    const auto result = server_->HandleGet(id, now);
+    const auto result = server_->HandleGet(id, now, id_);
     reply.body_bytes = result.body_bytes;
     reply.version = result.version;
     reply.last_modified = result.last_modified;
@@ -22,7 +30,7 @@ Upstream::FullReply OriginUpstream::FetchFull(ObjectId id, SimTime now) {
   const ExchangeOutcome outcome = RunFaultedExchange(*faults_, now, [&](SimTime at) {
     // The server processes every request that reaches it, even if the reply
     // is then lost — retransmits legitimately duplicate server work.
-    const auto result = server_->HandleGet(id, at);
+    const auto result = server_->HandleGet(id, at, id_);
     reply.body_bytes = result.body_bytes;
     reply.version = result.version;
     reply.last_modified = result.last_modified;
@@ -38,7 +46,7 @@ Upstream::CondReply OriginUpstream::FetchIfModified(ObjectId id, uint64_t held_v
                                                     SimTime now) {
   CondReply reply;
   if (faults_ == nullptr) {
-    const auto result = server_->HandleConditionalGet(id, held_version, now);
+    const auto result = server_->HandleConditionalGet(id, held_version, now, id_);
     reply.modified = result.modified;
     reply.body_bytes = result.body_bytes;
     reply.version = result.version;
@@ -47,7 +55,7 @@ Upstream::CondReply OriginUpstream::FetchIfModified(ObjectId id, uint64_t held_v
     return reply;
   }
   const ExchangeOutcome outcome = RunFaultedExchange(*faults_, now, [&](SimTime at) {
-    const auto result = server_->HandleConditionalGet(id, held_version, at);
+    const auto result = server_->HandleConditionalGet(id, held_version, at, id_);
     reply.modified = result.modified;
     reply.body_bytes = result.body_bytes;
     reply.version = result.version;
@@ -60,24 +68,17 @@ Upstream::CondReply OriginUpstream::FetchIfModified(ObjectId id, uint64_t held_v
   return reply;
 }
 
-CacheId OriginUpstream::IdFor(InvalidationSink* sink) {
-  const auto it = cache_ids_.find(sink);
-  if (it != cache_ids_.end()) {
-    return it->second;
-  }
-  const CacheId id = server_->RegisterCache(sink);
-  cache_ids_.emplace(sink, id);
-  return id;
-}
-
 void OriginUpstream::SubscribeInvalidation(InvalidationSink* sink, ObjectId id) {
-  server_->Subscribe(IdFor(sink), id);
+  if (cache_ == nullptr) {
+    SetCache(sink);
+  }
+  WEBCC_CHECK(sink == cache_) << "an OriginUpstream carries one cache";
+  server_->Subscribe(id_, id);
 }
 
 void OriginUpstream::UnsubscribeInvalidation(InvalidationSink* sink, ObjectId id) {
-  const auto it = cache_ids_.find(sink);
-  if (it != cache_ids_.end()) {
-    server_->Unsubscribe(it->second, id);
+  if (sink == cache_) {
+    server_->Unsubscribe(id_, id);
   }
 }
 

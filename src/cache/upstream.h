@@ -1,7 +1,7 @@
 // Upstream: where a cache gets bytes from.
 //
 // A ProxyCache talks to an Upstream — either the origin server (via
-// OriginUpstream in src/origin/server_upstream.h) or another ProxyCache
+// OriginUpstream in src/cache/origin_upstream.h) or another ProxyCache
 // (hierarchical caching, the Figure 1 ablation). The interface mirrors the
 // two request shapes the paper's protocols need (full GET and combined
 // "send if changed since" query) plus invalidation interest registration.

@@ -77,8 +77,8 @@ void CompareCrashTwin(CrashRecovery resolved, const ChaosOracle& baseline_oracle
   }
 }
 
-// Fleet trial: every member world carries its own oracle, judged against
-// the member's derived link config (exactly what the world runs under).
+// Fleet trial: every member carries its own oracle, judged against
+// the member's derived link config (exactly what its link runs under).
 // Crash trials rerun the fleet with the member-targeted crash point removed
 // and compare member by member: the targeted member under its recovery
 // mode's contract, every untargeted member field-identical (their link

@@ -229,7 +229,10 @@ void ChaosOracle::OnServe(const ServeObservation& o) {
 
 void ChaosOracle::OnRunEnd(const ProxyCache& cache, const OriginServer& server) {
   final_entries_ = cache.SnapshotEntries();
-  invalidations_in_flight_ = server.InvalidationsInFlight();
+  // A cache below another cache has no origin ledger of its own; its
+  // in-flight notices are the parent's to count.
+  const CacheId id = server.IdOf(&cache);
+  invalidations_in_flight_ = id == kInvalidCacheId ? 0 : server.InvalidationsInFlight(id);
   run_ended_ = true;
 }
 

@@ -392,7 +392,7 @@ void AddSpreadRow(TextTable& table, const std::string& name, const CacheStats& s
 }
 
 int RunFleetMode(const Workload& load, const SimulationConfig& config,
-                 const CliTopologySelection& topo, const std::string& mode, size_t jobs,
+                 const CliTopologySelection& topo, const std::string& mode,
                  std::ostream& out) {
   FleetConfig fleet;
   fleet.policy = config.policy;
@@ -400,8 +400,7 @@ int RunFleetMode(const Workload& load, const SimulationConfig& config,
   fleet.refresh_mode = config.refresh_mode;
   fleet.preload = config.preload;
   fleet.faults = config.faults;
-  SweepRunner runner(jobs);
-  const FleetResult result = RunFleetSimulation(load, fleet, runner);
+  const FleetResult result = RunFleetSimulation(load, fleet);
 
   out << "policy:   " << result.policy_desc << "  (" << mode << " retrieval, fleet of "
       << result.num_caches << ")\n\n";
@@ -643,7 +642,7 @@ int RunCliDriver(const std::vector<std::string>& args_vec, std::ostream& out,
   }
 
   if (topo.mode == CliTopology::kFleet) {
-    return RunFleetMode(*load, config, topo, mode, static_cast<size_t>(jobs_flag), out);
+    return RunFleetMode(*load, config, topo, mode, out);
   }
   if (topo.mode == CliTopology::kHierarchy) {
     return RunHierarchyMode(*load, config, mode, out);

@@ -9,25 +9,22 @@
 // — against the time-based protocols whose server cost is driven by
 // requests, not by the holder population.
 //
-// Sharded execution: fleet members never talk to each other — member i
-// serves exactly the requests with client_id % N == i and sees every
-// modification — so each member is its own one-node cache tree (its own
-// origin and cache) driven by the shared Replay loop (src/core/replay.h),
-// and the per-member statistics are summed in member order. Pass a
-// SweepRunner and the members shard across its thread pool, field-identical
-// to a serial run at any --jobs count (tests/core/fleet_test.cc). The
-// summed server columns mean "total origin-side work the fleet generated".
+// A fleet is one Replay (src/core/replay.h) over a forest of N roots that
+// share one SimEngine, one OriginServer and one ObjectStore: member i is
+// root i and serves exactly the requests with client_id % N == i. Members
+// never talk to each other, but every change fans out from the one origin
+// to every member holding the object. The origin keeps a ledger per member
+// (per CacheId); the server columns are their sum, "total origin-side work
+// the fleet generated".
 //
-// peak_subscriptions is the true fleet-wide CONCURRENT peak: each member
-// records its subscription count as a step function of simulated time and
-// the merge takes the maximum of the summed levels over all event
-// boundaries (simultaneous changes apply atomically per timestamp). Under
-// crash/restart or eviction churn, where per-member counts shrink and
-// regrow, this can be smaller than the sum of the member peaks.
+// peak_subscriptions is the origin's high-water mark of live (cache,
+// object) subscriptions, kept as they are made.
 //
-// Faults: member i's link to its origin carries FaultConfig::ForLink(i) —
+// Faults: member i's link to the origin carries FaultConfig::ForLink(i) —
 // an independently seeded substream plus any member-targeted
-// LinkFaultOverride knobs. FaultConfig::snapshot_crash_request indexes the
+// LinkFaultOverride knobs — drawn up to the member's own horizon (its last
+// request or the last modification, plus 24 h); the shared clock runs to
+// the latest member's. FaultConfig::snapshot_crash_request indexes the
 // member's OWN serves, matching the observer's request_index stream for
 // that member.
 
@@ -55,9 +52,8 @@ struct FleetConfig {
   // members by index. Every member rides the same Replay loop whether or
   // not a plan is enabled.
   FaultConfig faults;
-  // Chaos-harness hook: returns the observer for member i's world (null for
-  // none). Member worlds run concurrently under a SweepRunner, so distinct
-  // members must get distinct observer instances. Must outlive the run.
+  // Chaos-harness hook: returns the observer for member i (null for none).
+  // It sees member i's serves and every modification. Must outlive the run.
   std::function<SimObserver*(uint32_t member)> member_observer;
   // Keep each member's full SimulationResult in FleetResult::member_results
   // (the chaos oracle verifies members individually). Off by default: the
@@ -93,7 +89,7 @@ struct FleetResult {
   int64_t total_link_bytes = 0;
   uint64_t modifications = 0;  // workload changes (fan-out denominator)
   // Server-side bookkeeping: live (cache, object) subscriptions at the end
-  // of the run, and the true fleet-wide concurrent peak (see file comment).
+  // of the run, and their high-water mark (see file comment).
   size_t final_subscriptions = 0;
   size_t peak_subscriptions = 0;
   // Failure spread, one entry per member in member order.
@@ -118,11 +114,11 @@ struct FleetResult {
 
 class SweepRunner;
 
-// Replays `load` with requests routed to cache (client_id % num_caches),
-// one member world at a time.
+// Replays `load` with requests routed to cache (client_id % num_caches).
 FleetResult RunFleetSimulation(const Workload& load, const FleetConfig& config);
 
-// Same result, with member worlds sharded across `runner`'s thread pool.
+// The same run; a fleet is one world, so `runner` is not used. Kept for
+// callers that pass their sweep's runner.
 FleetResult RunFleetSimulation(const Workload& load, const FleetConfig& config,
                                SweepRunner& runner);
 

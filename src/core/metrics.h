@@ -82,8 +82,9 @@ ConsistencyMetrics ComputeMetrics(const ServerStats& server, const CacheStats& c
 int64_t RequestConservationGap(const CacheStats& cache);
 
 // sent - (lost + delivered + undeliverable + in_flight). `in_flight` is the
-// server's InvalidationsInFlight() gauge. Only meaningful when the server's
-// stats were not reset mid-flight (warmup == 0), which chaos trials ensure.
+// same cache's OriginServer::InvalidationsInFlight gauge. Only meaningful
+// when the stats were not reset mid-flight (warmup == 0), which chaos trials
+// ensure.
 int64_t InvalidationConservationGap(const ServerStats& server, int64_t in_flight);
 
 }  // namespace webcc

@@ -51,7 +51,10 @@ void ResolveCrashRecovery(CrashRecovery mode, const ConsistencyPolicy& policy,
 // its crash/restart state, and — for leaves — its serve counter.
 struct LiveNode {
   std::unique_ptr<FaultPlan> plan;
-  std::unique_ptr<FaultedLink> link;  // null for the root, which talks to the origin
+  // Exactly one of the two is set: a root talks to the origin, any other
+  // node to its parent cache.
+  std::unique_ptr<OriginUpstream> origin;
+  std::unique_ptr<FaultedLink> link;
   std::unique_ptr<ProxyCache> cache;
   SnapshotRecovery recovery = SnapshotRecovery::kTrustSnapshot;
   bool cold_start = false;
@@ -61,6 +64,7 @@ struct LiveNode {
   std::string disk_image;
   std::function<void(SimTime)> contact_upstream;  // first contact after a restart
   SimObserver* observer = nullptr;
+  size_t root = 0;                           // index of this node's root
   uint64_t served = 0;                       // the leaf's own replay index
   uint64_t crash_request = kNoCrashRequest;  // snapshot_crash_request, leaf-local
 
@@ -137,7 +141,6 @@ SweepExecStats GlobalSweepExecStats() {
 
 ReplayResult Replay(const Workload& load, const CacheTree& tree) {
   WEBCC_CHECK(!tree.nodes.empty()) << "a cache tree needs a root";
-  WEBCC_CHECK_EQ(tree.nodes.front().parent, CacheNode::kOrigin);
 
   // Request routing: residue of client_id modulo the leaves' common share_of
   // (no division per request in the common single-leaf tree).
@@ -155,8 +158,17 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
   };
 
   std::vector<LiveNode> nodes(tree.nodes.size());
+  size_t roots_left = 0;
   for (size_t i = 0; i < nodes.size(); ++i) {
     const CacheNode& spec = tree.nodes[i];
+    if (spec.parent == CacheNode::kOrigin) {
+      nodes[i].root = i;
+      ++roots_left;
+    } else {
+      WEBCC_CHECK(spec.parent >= 0 && static_cast<size_t>(spec.parent) < i)
+          << "a node's parent must be an earlier node";
+      nodes[i].root = nodes[spec.parent].root;
+    }
     if (spec.share_of != 0) {
       WEBCC_CHECK_LT(spec.share_index, share_of);
       WEBCC_CHECK(leaf_for_residue[spec.share_index] == nullptr) << "two leaves share a residue";
@@ -164,19 +176,30 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
     }
   }
 
-  // The last event any leaf replays, plus slack so trailing invalidation
-  // retries and restarts get to run before the clock stops.
-  SimTime horizon = SimTime::Epoch();
-  for (auto it = load.requests.rbegin(); it != load.requests.rend(); ++it) {
-    if (route(*it) != nullptr) {
-      horizon = it->at;
-      break;
+  // Each root's horizon: its leaves' last request or the last modification,
+  // plus slack so trailing invalidation retries and restarts get to run.
+  // Every node plans its faults against its root's horizon; the clock stops
+  // at the latest one.
+  std::vector<SimTime> horizon(nodes.size(), SimTime::Epoch());
+  std::vector<bool> found(nodes.size(), false);
+  for (auto it = load.requests.rbegin(); it != load.requests.rend() && roots_left > 0; ++it) {
+    const LiveNode* leaf = route(*it);
+    if (leaf != nullptr && !found[leaf->root]) {
+      found[leaf->root] = true;
+      horizon[leaf->root] = it->at;
+      --roots_left;
     }
   }
-  if (!load.modifications.empty()) {
-    horizon = std::max(horizon, load.modifications.back().at);
+  SimTime end = SimTime::Epoch();
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].root == i) {
+      if (!load.modifications.empty()) {
+        horizon[i] = std::max(horizon[i], load.modifications.back().at);
+      }
+      horizon[i] = horizon[i] + Hours(24);
+      end = std::max(end, horizon[i]);
+    }
   }
-  horizon = horizon + Hours(24);
 
   SimEngine engine;
   OriginServer server(&engine, tree.invalidation_retry_interval);
@@ -184,26 +207,19 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
     server.store().Create(spec.name, spec.type, spec.size_bytes,
                           SimTime::Epoch() - spec.initial_age);
   }
-  OriginUpstream origin(&server);
 
   for (size_t i = 0; i < nodes.size(); ++i) {
     const CacheNode& spec = tree.nodes[i];
     LiveNode& node = nodes[i];
-    node.plan = std::make_unique<FaultPlan>(spec.link, horizon);
-    Upstream* upstream = &origin;
+    node.plan = std::make_unique<FaultPlan>(spec.link, horizon[node.root]);
+    Upstream* upstream = nullptr;
     if (spec.parent == CacheNode::kOrigin) {
-      WEBCC_CHECK_EQ(i, 0u) << "only the root hangs off the origin";
-      server.ArmFaults(node.plan.get());
-      origin.ArmFaults(node.plan.get());
-      node.contact_upstream = [&server, &node](SimTime at) {
-        const CacheId id = server.IdOf(node.cache.get());
-        if (id != kInvalidCacheId) {
-          server.NoteCacheContact(id, at);
-        }
+      node.origin = std::make_unique<OriginUpstream>(&server, node.plan.get());
+      upstream = node.origin.get();
+      node.contact_upstream = [&server, id = node.origin->id()](SimTime at) {
+        server.NoteCacheContact(id, at);
       };
     } else {
-      WEBCC_CHECK(spec.parent >= 0 && static_cast<size_t>(spec.parent) < i)
-          << "a node's parent must be an earlier node";
       ProxyCache& parent = *nodes[spec.parent].cache;
       parent.ArmChildRedelivery(&engine, tree.invalidation_retry_interval);
       node.link = std::make_unique<FaultedLink>(&parent, node.plan.get(), &engine);
@@ -216,7 +232,9 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
         spec.name, upstream,
         tree.policy_factory ? tree.policy_factory() : MakePolicy(tree.policy), tree.cache,
         &server.store());
-    if (node.link != nullptr) {
+    if (node.origin != nullptr) {
+      node.origin->SetCache(node.cache.get());
+    } else {
       node.link->SetChild(node.cache.get());
     }
     ResolveCrashRecovery(spec.link.crash_recovery, node.cache->policy(), &node.recovery,
@@ -289,10 +307,10 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
     leaf->Serve(req);
   }
   // Trailing modifications still cost invalidation traffic.
-  apply_modifications_until(horizon);
+  apply_modifications_until(end);
   // Drain trailing redelivery timers and restarts. Bounded by the horizon:
   // a flush timer for a permanently dark cache reschedules forever.
-  engine.RunUntil(horizon);
+  engine.RunUntil(end);
   for (LiveNode& node : nodes) {
     if (node.observer != nullptr) {
       node.observer->OnRunEnd(*node.cache, server);
@@ -302,12 +320,17 @@ ReplayResult Replay(const Workload& load, const CacheTree& tree) {
   ReplayResult result;
   result.policy_desc = nodes.front().cache->policy().Describe();
   result.server = server.stats();
+  result.subscriptions = server.SubscriptionCount();
+  result.peak_subscriptions = server.PeakSubscriptionCount();
   result.nodes.reserve(nodes.size());
   uint64_t served = 0;
   for (const LiveNode& node : nodes) {
     const ProxyCache& cache = *node.cache;
     CacheNodeResult& out = result.nodes.emplace_back();
     out.stats = cache.stats();
+    if (node.origin != nullptr) {
+      out.server = server.stats(node.origin->id());
+    }
     out.child_invalidations_sent = cache.child_invalidations_sent();
     out.child_invalidations_delivered = cache.child_invalidations_delivered();
     out.child_invalidations_dropped = cache.child_invalidations_dropped();

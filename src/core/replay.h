@@ -3,21 +3,21 @@
 // The paper's simulators replay a modification stream against a request
 // stream over a flattened hierarchy, and Figure 1 argues that the collapsed
 // cache and the cache tree are the same replay over a different shape.
-// Replay() is that replay. It drives a CacheTree — a list of proxy caches,
+// Replay() is that replay. It drives a CacheTree — a forest of proxy caches,
 // each naming its parent (the origin or an earlier node) and carrying its
 // upstream link's fault config — through one deterministic merge-walk:
 //
-//   RunSimulation           a one-node tree
+//   RunSimulation           one root
 //   RunHierarchySimulation  cache-2 under the origin, cache-1a/1b under it
-//   RunFleetSimulation      one one-node tree per member, each serving its
-//                           share of the clients
+//   RunFleetSimulation      N roots, each serving its share of the clients
 //
-// The loop always owns one SimEngine and one OriginServer, and gives every
-// link a FaultPlan. A disabled plan is a passthrough, so a fault-free run
-// and an armed all-zero run take the same code. Crash/restart events,
-// invalidation redelivery timers and jittered deliveries ride the engine and
-// interleave with the workload in timestamp order. A modification at time t
-// is visible to a request at time t.
+// The loop always owns one SimEngine and one OriginServer, which every root
+// hangs off under a CacheId of its own, and gives every link a FaultPlan. A
+// disabled plan is a passthrough, so a fault-free run and an armed all-zero
+// run take the same code. Crash/restart events, invalidation redelivery
+// timers and jittered deliveries ride the engine and interleave with the
+// workload in timestamp order. A modification at time t is visible to a
+// request at time t.
 
 #ifndef WEBCC_SRC_CORE_REPLAY_H_
 #define WEBCC_SRC_CORE_REPLAY_H_
@@ -42,12 +42,14 @@ struct CacheNode {
   static constexpr int kOrigin = -1;
 
   std::string name;
-  // kOrigin for the root (node 0, the only child of the origin); otherwise
-  // the index of an earlier node.
+  // kOrigin for a root (a child of the origin; node 0 always is one);
+  // otherwise the index of an earlier node.
   int parent = kOrigin;
   // The upstream link's fault config (a FaultConfig::ForLink result). Its
   // crash schedule and recovery mode apply to this node's cache; its
-  // snapshot_crash_request indexes this leaf's own serves.
+  // snapshot_crash_request indexes this leaf's own serves. The plan is drawn
+  // up to the root's horizon: the last request any leaf under the root
+  // replays, or the last modification, plus 24 h.
   FaultConfig link;
   // Leaves serve the requests with client_id % share_of == share_index;
   // share_of == 0 marks an interior node. Every leaf of a tree uses the same
@@ -77,6 +79,8 @@ struct CacheTree {
 
 struct CacheNodeResult {
   CacheStats stats;
+  // The origin's ledger for this node (roots only; zero below a cache).
+  ServerStats server;
   // This node's parent-side ledger for notices forwarded to its children
   // (all zero for leaves and for policies that never forward).
   uint64_t child_invalidations_sent = 0;
@@ -88,8 +92,12 @@ struct CacheNodeResult {
 };
 
 struct ReplayResult {
-  std::string policy_desc;  // the root's policy
-  ServerStats server;
+  std::string policy_desc;  // node 0's policy
+  ServerStats server;       // the sum of the roots' ledgers
+  // Live (cache, object) subscriptions at the origin at the end of the run,
+  // and the most there ever were at once.
+  size_t subscriptions = 0;
+  size_t peak_subscriptions = 0;
   std::vector<CacheNodeResult> nodes;  // in CacheTree::nodes order
 };
 

@@ -78,7 +78,7 @@ class SweepRunner {
   // [0, n), serially when jobs == 1. The determinism contract is the
   // caller's: tasks must own their worlds and write only to disjoint,
   // index-addressed slots, so results cannot depend on completion order.
-  // This is how fleet sharding (src/core/fleet.h) and chaos campaigns
+  // This is how ablation_fleet's fleet points and chaos campaigns
   // (src/chaos/) reuse the one pool instead of growing their own.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 

@@ -8,6 +8,12 @@
 // Server operations, the Figure 8 metric, are: full document requests,
 // If-Modified-Since queries (a combined query+retransmit counts once), and
 // invalidation notices sent.
+//
+// Many caches can hang off one origin (a fleet). Each attached cache has a
+// CacheId, and the origin keeps per CacheId everything that concerns only
+// that cache: its subscriptions, its armed fault plan, its queue of parked
+// notices with their flush timer, and its ledger (ServerStats plus the
+// in-flight gauge). stats() is the sum of the ledgers.
 
 #ifndef WEBCC_SRC_ORIGIN_SERVER_H_
 #define WEBCC_SRC_ORIGIN_SERVER_H_
@@ -69,6 +75,8 @@ struct ServerStats {
     return get_requests + ims_queries + invalidations_sent;
   }
   int64_t TotalBytes() const { return bytes_sent + bytes_received; }
+
+  ServerStats& operator+=(const ServerStats& other);
 };
 
 class OriginServer {
@@ -82,6 +90,9 @@ class OriginServer {
   const ObjectStore& store() const { return store_; }
 
   // --- Document service ---
+  //
+  // `cache` names the requesting cache's ledger; requests that name none
+  // (the HTTP frontend's) are accounted in a ledger of their own.
 
   struct GetResult {
     int64_t body_bytes = 0;
@@ -91,7 +102,7 @@ class OriginServer {
   };
   // Serves a full document. Accounts one inbound control message, one
   // outbound document transfer.
-  GetResult HandleGet(ObjectId id, SimTime now);
+  GetResult HandleGet(ObjectId id, SimTime now, CacheId cache = kInvalidCacheId);
 
   struct ConditionalResult {
     bool modified = false;     // true -> body shipped
@@ -105,7 +116,8 @@ class OriginServer {
   // one-second resolution; the HTTP layer maps versions to Last-Modified
   // dates for serialization. Counts one query op either way (the paper's
   // combined "send this file if it has changed" request, §3).
-  ConditionalResult HandleConditionalGet(ObjectId id, uint64_t held_version, SimTime now);
+  ConditionalResult HandleConditionalGet(ObjectId id, uint64_t held_version, SimTime now,
+                                         CacheId cache = kInvalidCacheId);
 
   // Optional policy for asserting explicit Expires headers (objects with a
   // priori known lifetimes — daily news, weekly schedules; paper §6). When
@@ -116,33 +128,33 @@ class OriginServer {
 
   // --- Modification + invalidation ---
 
-  // Registers a cache for invalidation callbacks; returns its id.
-  CacheId RegisterCache(InvalidationSink* sink);
+  // Attaches a cache and returns its id. `sink` receives its invalidation
+  // notices; it may be null while the cache is still being built, and must
+  // be set (SetSink) before the cache's first subscription.
+  CacheId RegisterCache(InvalidationSink* sink = nullptr);
+  void SetSink(CacheId cache, InvalidationSink* sink);
 
-  // Reverse lookup for callers (the fault simulator) that hold the sink but
-  // not the id. kInvalidCacheId when the sink was never registered.
+  // Reverse lookup for callers that hold the sink but not the id.
+  // kInvalidCacheId when the sink was never registered.
   CacheId IdOf(const InvalidationSink* sink) const;
 
-  // Arms fault injection on the invalidation path: notices pass a loss draw
-  // and a server-uptime check, undeliverable ones are queued per cache
-  // (deduplicated — a second change to a queued object is one notice) and
-  // re-driven on a retry_interval timer. Null or a disabled plan disarms.
-  // Plan must outlive us.
-  void ArmFaults(FaultPlan* plan) { faults_ = plan != nullptr && plan->enabled() ? plan : nullptr; }
+  // Arms fault injection on the invalidation path to `cache`: its notices
+  // pass a loss draw and a server-uptime check, undeliverable ones are
+  // queued for it (deduplicated — a second change to a queued object is one
+  // notice) and re-driven on its own retry_interval timer. Null or a
+  // disabled plan disarms. Plan must outlive us.
+  void ArmFaults(CacheId cache, FaultPlan* plan);
 
   // A cache got back in touch (reconnect/restart): immediately re-drive its
   // queued invalidations instead of waiting out the retry timer. Paper §1:
   // the server "must continue trying to reach it".
   void NoteCacheContact(CacheId cache, SimTime now);
 
-  // Invalidations currently parked across all per-cache queues.
-  size_t PendingInvalidations() const;
-
-  // Notices sent but still riding a jitter delay — neither delivered nor
-  // failed yet. A gauge, not a stat: it survives ResetStats() so the
-  // delivery-outcome ledger (ServerStats) stays balanced even when a notice
+  // Notices to `cache` sent but still riding a jitter delay — neither
+  // delivered nor failed yet. A gauge, not a stat: it survives ResetStats()
+  // so the cache's delivery-outcome ledger stays balanced even when a notice
   // was launched before a warmup reset and lands after it.
-  int64_t InvalidationsInFlight() const { return invalidations_inflight_; }
+  int64_t InvalidationsInFlight(CacheId cache) const;
 
   // Marks that `cache` holds `object`; future changes trigger a callback.
   void Subscribe(CacheId cache, ObjectId object);
@@ -154,34 +166,48 @@ class OriginServer {
   void ModifyObject(ObjectId id, SimTime at, int64_t new_size = -1);
 
   // Bookkeeping footprint of the invalidation protocol: total live
-  // (cache, object) subscriptions. The paper's scalability complaint (§1).
+  // (cache, object) subscriptions (the paper's scalability complaint, §1),
+  // and the most there ever were at once.
   size_t SubscriptionCount() const { return subscription_count_; }
+  size_t PeakSubscriptionCount() const { return peak_subscription_count_; }
 
-  const ServerStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ServerStats{}; }
+  // The sum of every ledger, and one cache's ledger.
+  ServerStats stats() const;
+  const ServerStats& stats(CacheId cache) const;
+  void ResetStats();
 
  private:
+  // What the origin keeps for one attached cache.
+  struct AttachedCache {
+    InvalidationSink* sink = nullptr;
+    FaultPlan* faults = nullptr;  // null unless an enabled plan is armed
+    ServerStats stats;
+    int64_t invalidations_inflight = 0;  // jitter-delayed, undecided
+    std::vector<bool> subscribed;        // by object
+    std::vector<ObjectId> pending;       // FIFO of queued notices
+    std::vector<bool> pending_flag;      // dedup for pending
+    bool flush_timer_armed = false;
+  };
+
+  ServerStats& LedgerFor(CacheId cache) {
+    return cache == kInvalidCacheId ? unattributed_ : caches_[cache].stats;
+  }
   void SendInvalidation(CacheId cache, ObjectId id, SimTime now, bool is_retry);
   // Fault-path transmit: loss draw, uptime check, optional jitter delay.
   // Failures end up in the pending queue; `from_queue` marks redeliveries.
   void FaultedSend(CacheId cache, ObjectId id, SimTime now, bool from_queue);
   void EnqueuePending(CacheId cache, ObjectId id);
   void FlushPending(CacheId cache, SimTime now);
-  void ArmFlushTimer();
+  void ArmFlushTimer(CacheId cache);
 
   SimEngine* engine_;
   SimDuration retry_interval_;
   ExpiresProvider expires_provider_;
   ObjectStore store_;
-  ServerStats stats_;
-  FaultPlan* faults_ = nullptr;  // null unless an enabled plan is armed
-  std::vector<InvalidationSink*> sinks_;             // indexed by CacheId
-  std::vector<std::vector<bool>> subscriptions_;     // [cache][object]
+  std::vector<AttachedCache> caches_;  // indexed by CacheId
+  ServerStats unattributed_;           // requests that name no cache
   size_t subscription_count_ = 0;
-  std::vector<std::vector<ObjectId>> pending_;       // per-cache FIFO of queued notices
-  std::vector<std::vector<bool>> pending_flag_;      // per-cache dedup for pending_
-  bool flush_timer_armed_ = false;
-  int64_t invalidations_inflight_ = 0;               // jitter-delayed, undecided
+  size_t peak_subscription_count_ = 0;
 };
 
 }  // namespace webcc

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/http/message.h"
+#include "src/sim/fault_plan.h"
 
 namespace webcc {
 namespace {
@@ -199,6 +200,110 @@ TEST_F(ServerTest, ResetStatsClears) {
   server_.ResetStats();
   EXPECT_EQ(server_.stats().get_requests, 0u);
   EXPECT_EQ(server_.stats().TotalBytes(), 0);
+}
+
+TEST_F(ServerTest, PeakSubscriptionCountIsTheHighWaterMark) {
+  RecordingSink a;
+  RecordingSink b;
+  const CacheId ca = server_.RegisterCache(&a);
+  const CacheId cb = server_.RegisterCache(&b);
+  server_.Subscribe(ca, obj_);
+  server_.Subscribe(cb, obj_);
+  server_.Unsubscribe(ca, obj_);
+  server_.Subscribe(cb, obj_);  // already held: no new subscription
+  EXPECT_EQ(server_.SubscriptionCount(), 1u);
+  EXPECT_EQ(server_.PeakSubscriptionCount(), 2u);
+}
+
+void ExpectLedgersSumToStats(const OriginServer& server, CacheId a, CacheId b) {
+  ServerStats sum = server.stats(a);
+  sum += server.stats(b);
+  const ServerStats total = server.stats();
+  EXPECT_EQ(sum.get_requests, total.get_requests);
+  EXPECT_EQ(sum.ims_queries, total.ims_queries);
+  EXPECT_EQ(sum.invalidations_sent, total.invalidations_sent);
+  EXPECT_EQ(sum.invalidation_retries, total.invalidation_retries);
+  EXPECT_EQ(sum.invalidations_lost, total.invalidations_lost);
+  EXPECT_EQ(sum.invalidations_queued, total.invalidations_queued);
+  EXPECT_EQ(sum.invalidations_redelivered, total.invalidations_redelivered);
+  EXPECT_EQ(sum.invalidations_delivered, total.invalidations_delivered);
+  EXPECT_EQ(sum.invalidations_undeliverable, total.invalidations_undeliverable);
+  EXPECT_EQ(sum.bytes_sent, total.bytes_sent);
+  EXPECT_EQ(sum.bytes_received, total.bytes_received);
+}
+
+TEST(ServerLedgerTest, FaultPlanArmedForOneCacheLeavesTheOtherLedgerClean) {
+  SimEngine engine;
+  OriginServer server(&engine, Minutes(5));
+  const ObjectId obj = server.store().Create("/x", FileType::kHtml, 100, SimTime::Epoch());
+  FaultConfig dead;
+  dead.loss_rate = 1.0;
+  FaultPlan plan(dead, SimTime::Epoch() + Days(1));
+  RecordingSink lossy;
+  RecordingSink clean;
+  const CacheId a = server.RegisterCache(&lossy);
+  const CacheId b = server.RegisterCache(&clean);
+  server.ArmFaults(a, &plan);
+  server.Subscribe(a, obj);
+  server.Subscribe(b, obj);
+  server.HandleGet(obj, SimTime::Epoch(), b);
+
+  for (int i = 1; i <= 3; ++i) {
+    engine.RunUntil(SimTime::Epoch() + Hours(i));
+    server.ModifyObject(obj, engine.Now());
+  }
+  engine.RunUntil(SimTime::Epoch() + Hours(5));
+
+  EXPECT_TRUE(lossy.deliveries.empty());
+  EXPECT_GT(server.stats(a).invalidations_lost, 3u);  // retries lose too
+  EXPECT_EQ(server.stats(a).invalidations_lost, server.stats(a).invalidations_sent);
+  EXPECT_EQ(clean.deliveries.size(), 3u);
+  EXPECT_EQ(server.stats(b).invalidations_sent, 3u);
+  EXPECT_EQ(server.stats(b).invalidations_delivered, 3u);
+  EXPECT_EQ(server.stats(b).invalidations_lost, 0u);
+  EXPECT_EQ(server.stats(b).invalidations_queued, 0u);
+  EXPECT_EQ(server.stats(b).get_requests, 1u);
+  EXPECT_EQ(server.stats(a).get_requests, 0u);
+  ExpectLedgersSumToStats(server, a, b);
+}
+
+TEST(ServerLedgerTest, EachCacheHasItsOwnFlushTimer) {
+  SimEngine engine;
+  OriginServer server(&engine, Minutes(5));
+  const ObjectId obj = server.store().Create("/x", FileType::kHtml, 100, SimTime::Epoch());
+  FaultConfig dead;
+  dead.loss_rate = 1.0;
+  FaultConfig quiet;
+  quiet.armed = true;  // faulted path, no faults drawn
+  FaultPlan dead_plan(dead, SimTime::Epoch() + Days(1));
+  FaultPlan quiet_plan(quiet, SimTime::Epoch() + Days(1));
+  RecordingSink lossy;
+  RecordingSink late;
+  const CacheId a = server.RegisterCache(&lossy);
+  const CacheId b = server.RegisterCache(&late);
+  server.ArmFaults(a, &dead_plan);
+  server.ArmFaults(b, &quiet_plan);
+  server.Subscribe(a, obj);
+
+  // a's notice is lost at t=0: its timer fires every 5 min from t=5m.
+  server.ModifyObject(obj, SimTime::Epoch());
+  // b refuses a notice at t=2m: its own timer is due at t=7m.
+  server.Subscribe(b, obj);
+  late.reachable = false;
+  engine.RunUntil(SimTime::Epoch() + Minutes(2));
+  server.ModifyObject(obj, engine.Now());
+  EXPECT_EQ(server.stats(b).invalidations_queued, 1u);
+  late.reachable = true;
+
+  engine.RunUntil(SimTime::Epoch() + Minutes(6));
+  EXPECT_GE(server.stats(a).invalidation_retries, 1u);  // a's timer fired
+  EXPECT_TRUE(late.deliveries.empty());                 // and left b's queue alone
+  engine.RunUntil(SimTime::Epoch() + Minutes(7));
+  ASSERT_EQ(late.deliveries.size(), 1u);
+  EXPECT_EQ(late.deliveries[0].at, SimTime::Epoch() + Minutes(7));
+  EXPECT_EQ(server.stats(b).invalidations_redelivered, 1u);
+  EXPECT_EQ(server.stats(b).invalidations_lost, 0u);
+  ExpectLedgersSumToStats(server, a, b);
 }
 
 }  // namespace
