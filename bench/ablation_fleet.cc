@@ -8,6 +8,8 @@
 // notice fan-out scale with N×objects and N×changes; the time-based
 // protocols' server cost stays bounded by the request stream.
 
+#include <vector>
+
 #include "bench/bench_common.h"
 #include "src/core/fleet.h"
 #include "src/util/str.h"
@@ -22,27 +24,38 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: one origin, N caches (paper §1 scalability) ===\n\n");
   const Workload& load = PaperTraceWorkloads()[2];  // HCS
 
+  // Each fleet is one world, so the (N, policy) points are what runs in
+  // parallel; each writes its own slot and the rows print in point order.
+  struct Point {
+    uint32_t caches;
+    const char* name;
+    PolicyConfig policy;
+  };
+  std::vector<Point> points;
+  for (uint32_t n : {1u, 4u, 16u, 64u}) {
+    points.push_back({n, "alex(25%)", PolicyConfig::Alex(0.25)});
+    points.push_back({n, "invalidation", PolicyConfig::Invalidation()});
+  }
+  std::vector<FleetResult> results(points.size());
+  runner.ParallelFor(points.size(), [&load, &points, &results](size_t i) {
+    FleetConfig config;
+    config.policy = points[i].policy;
+    config.num_caches = points[i].caches;
+    results[i] = RunFleetSimulation(load, config);
+  });
+
   TextTable table;
   table.SetHeader({"caches", "Policy", "server ops", "invalidations", "peak subscriptions",
                    "total link MB", "fleet stale"});
-  for (uint32_t n : {1u, 4u, 16u, 64u}) {
-    for (const auto& [name, policy] :
-         std::vector<std::pair<const char*, PolicyConfig>>{
-             {"alex(25%)", PolicyConfig::Alex(0.25)},
-             {"invalidation", PolicyConfig::Invalidation()}}) {
-      FleetConfig config;
-      config.policy = policy;
-      config.num_caches = n;
-      const FleetResult result = RunFleetSimulation(load, config, runner);
-      table.AddRow(
-          {StrFormat("%u", n), name,
-           StrFormat("%llu", static_cast<unsigned long long>(result.server.TotalOperations())),
-           StrFormat("%llu",
-                     static_cast<unsigned long long>(result.server.invalidations_sent)),
-           StrFormat("%zu", result.peak_subscriptions),
-           StrFormat("%.2f", static_cast<double>(result.total_link_bytes) / 1e6),
-           FormatPercent(result.StaleRate(), 3)});
-    }
+  for (size_t i = 0; i < points.size(); ++i) {
+    const FleetResult& result = results[i];
+    table.AddRow(
+        {StrFormat("%u", points[i].caches), points[i].name,
+         StrFormat("%llu", static_cast<unsigned long long>(result.server.TotalOperations())),
+         StrFormat("%llu", static_cast<unsigned long long>(result.server.invalidations_sent)),
+         StrFormat("%zu", result.peak_subscriptions),
+         StrFormat("%.2f", static_cast<double>(result.total_link_bytes) / 1e6),
+         FormatPercent(result.StaleRate(), 3)});
   }
   Emit(table, "ablation_fleet");
 
