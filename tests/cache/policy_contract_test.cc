@@ -2,6 +2,7 @@
 // enforced uniformly via a parameterized suite over the full policy roster.
 
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,10 @@ struct ContractParam {
   const char* label;
   PolicyConfig config;
 };
+
+// Prints the label: gtest's default byte dump would embed the label's
+// address in every ctest name, so the names would change from run to run.
+void PrintTo(const ContractParam& param, std::ostream* os) { *os << param.label; }
 
 class PolicyContractTest : public ::testing::TestWithParam<ContractParam> {
  protected:

@@ -3,6 +3,7 @@
 // bench binaries then reproduce at full scale.
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -388,6 +389,12 @@ struct GridParam {
   double threshold_pct;
   bool base_mode;
 };
+
+// Names the grid point: gtest's default byte dump would put the struct's
+// uninitialized padding into every ctest name.
+void PrintTo(const GridParam& param, std::ostream* os) {
+  *os << "alex" << param.threshold_pct << (param.base_mode ? "-base" : "-optimized");
+}
 
 class ProtocolGridTest : public ::testing::TestWithParam<GridParam> {};
 

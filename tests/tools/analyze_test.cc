@@ -27,6 +27,13 @@
 namespace webcc::analyze {
 namespace {
 
+// A scratch file named after the running test: gtest_discover_tests runs
+// every case as its own ctest process, so a fixed name races under -j.
+std::string TestTempPath(const std::string& name) {
+  const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." + test->name() + "." + name;
+}
+
 std::string FixturePath(const std::string& name) {
   return std::string(WEBCC_ANALYZE_FIXTURE_DIR) + "/" + name;
 }
@@ -475,7 +482,7 @@ TEST(AnalyzeSarifTest, PathsAreRepoRelativeUris) {
 class AnalyzeGraphCacheTest : public ::testing::Test {
  protected:
   std::string CachePath() const {
-    return ::testing::TempDir() + "/webcc_analyze_graph_cache.txt";
+    return TestTempPath("graph_cache.txt");
   }
   void TearDown() override { std::remove(CachePath().c_str()); }
 };
@@ -721,7 +728,7 @@ TEST(AnalyzeTaintTest, WaiverIsAPropagationBarrier) {
   std::vector<Finding> unwaived = AnalyzePaths({FixturePath("taint_tree")}, options);
   EXPECT_EQ(OfRule(unwaived, "determinism-taint").size(), 1u);
   // Waiving the middle hop severs the chain above it.
-  const std::string waivers_path = ::testing::TempDir() + "/taint_waivers_test.txt";
+  const std::string waivers_path = TestTempPath("waivers.txt");
   {
     std::ofstream out(waivers_path, std::ios::trunc);
     out << "fixture::ProbeLevel fixture probe cannot affect results\n";
@@ -929,7 +936,7 @@ TEST(AnalyzePathsTest, JobsSettingsAreByteDeterministic) {
 }
 
 TEST_F(AnalyzeGraphCacheTest, ConfigChangeInvalidatesTheCache) {
-  const std::string waivers_path = ::testing::TempDir() + "/cache_waivers_test.txt";
+  const std::string waivers_path = TestTempPath("waivers.txt");
   {
     std::ofstream out(waivers_path, std::ios::trunc);
     out << "fixture::ProbeLevel sanctioned while the probe rolls out\n";
@@ -1643,7 +1650,7 @@ TEST(AnalyzeDeadSymbolTest, StaleDeadWaiversCannotBeBaselined) {
 // --- Pass 5: determinism + cache ---------------------------------------------
 
 TEST(AnalyzePathsTest, FlowPassStaysByteDeterministicAcrossJobs) {
-  const std::string td_path = ::testing::TempDir() + "/flow_time_domains.txt";
+  const std::string td_path = TestTempPath("time_domains.txt");
   {
     std::ofstream out(td_path, std::ios::trunc);
     out << "wall-fn NowNanos\nsim-fn Seconds\n";
@@ -1674,7 +1681,7 @@ TEST(AnalyzePathsTest, FlowPassStaysByteDeterministicAcrossJobs) {
 }
 
 TEST_F(AnalyzeGraphCacheTest, TimeDomainEditsInvalidateTheCache) {
-  const std::string td_path = ::testing::TempDir() + "/cache_time_domains.txt";
+  const std::string td_path = TestTempPath("time_domains.txt");
   {
     std::ofstream out(td_path, std::ios::trunc);
     out << "wall-fn NowNanos\n";
