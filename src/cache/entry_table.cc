@@ -3,57 +3,9 @@
 #include "src/util/check.h"
 
 namespace webcc {
-namespace {
-
-// Initial index size; must be a power of two.
-constexpr size_t kInitialBuckets = 16;
-
-}  // namespace
-
-EntryTable::EntryTable() : buckets_(kInitialBuckets, kNoSlot), bucket_mask_(kInitialBuckets - 1) {}
-
-size_t EntryTable::HashObject(ObjectId id) {
-  // Deterministic 32-bit mixer (murmur3 finalizer). ObjectIds are dense small
-  // integers, so without mixing, linear probing would clump every rehash the
-  // same way; the finalizer spreads them across the whole table.
-  uint32_t h = id;
-  h ^= h >> 16;
-  h *= 0x85ebca6bu;
-  h ^= h >> 13;
-  h *= 0xc2b2ae35u;
-  h ^= h >> 16;
-  return h;
-}
 
 EntryTable::SlotId EntryTable::Find(ObjectId id) const {
-  size_t i = HashObject(id) & bucket_mask_;
-  while (buckets_[i] != kNoSlot) {
-    if (arena_[buckets_[i]].object == id) {
-      return buckets_[i];
-    }
-    i = (i + 1) & bucket_mask_;
-  }
-  return kNoSlot;
-}
-
-void EntryTable::MaybeGrowIndex() {
-  // Keep the load factor under ~70% so linear probe chains stay short.
-  if ((size_ + 1) * 10 < buckets_.size() * 7) {
-    return;
-  }
-  std::vector<SlotId> old = std::move(buckets_);
-  buckets_.assign(old.size() * 2, kNoSlot);
-  bucket_mask_ = buckets_.size() - 1;
-  for (SlotId slot : old) {
-    if (slot == kNoSlot) {
-      continue;
-    }
-    size_t i = HashObject(arena_[slot].object) & bucket_mask_;
-    while (buckets_[i] != kNoSlot) {
-      i = (i + 1) & bucket_mask_;
-    }
-    buckets_[i] = slot;
-  }
+  return id < slot_of_.size() ? slot_of_[id] : kNoSlot;
 }
 
 EntryTable::SlotId EntryTable::AllocSlot(ObjectId id) {
@@ -78,16 +30,12 @@ EntryTable::SlotId EntryTable::AllocSlot(ObjectId id) {
 
 EntryTable::SlotId EntryTable::Insert(ObjectId id, bool front) {
   WEBCC_CHECK(id != kInvalidObjectId);
-  MaybeGrowIndex();
-  // One probe chain does double duty: it finds the empty bucket AND proves
-  // the object is not already present (a duplicate would sit on this chain).
-  size_t i = HashObject(id) & bucket_mask_;
-  while (buckets_[i] != kNoSlot) {
-    WEBCC_CHECK(arena_[buckets_[i]].object != id) << "object already cached";
-    i = (i + 1) & bucket_mask_;
+  if (id >= slot_of_.size()) {
+    slot_of_.resize(static_cast<size_t>(id) + 1, kNoSlot);
   }
+  WEBCC_CHECK(slot_of_[id] == kNoSlot) << "object already cached";
   const SlotId slot = AllocSlot(id);
-  buckets_[i] = slot;
+  slot_of_[id] = slot;
   if (front) {
     LinkFront(slot);
   } else {
@@ -101,34 +49,12 @@ EntryTable::SlotId EntryTable::InsertFront(ObjectId id) { return Insert(id, /*fr
 
 EntryTable::SlotId EntryTable::InsertBack(ObjectId id) { return Insert(id, /*front=*/false); }
 
-void EntryTable::IndexErase(ObjectId id) {
-  size_t i = HashObject(id) & bucket_mask_;
-  while (buckets_[i] != kNoSlot && arena_[buckets_[i]].object != id) {
-    i = (i + 1) & bucket_mask_;
-  }
-  WEBCC_CHECK(buckets_[i] != kNoSlot) << "erasing object not in index";
-  // Backward-shift deletion: walk the rest of the probe cluster and pull any
-  // element that probed past the hole back into it, leaving no tombstone.
-  size_t hole = i;
-  size_t j = (hole + 1) & bucket_mask_;
-  while (buckets_[j] != kNoSlot) {
-    const size_t ideal = HashObject(arena_[buckets_[j]].object) & bucket_mask_;
-    // Cyclic probe distances: j's element may fill the hole only if its
-    // ideal bucket is at or before the hole along its probe path.
-    const size_t dist_j = (j - ideal) & bucket_mask_;
-    const size_t dist_hole = (hole - ideal) & bucket_mask_;
-    if (dist_hole <= dist_j) {
-      buckets_[hole] = buckets_[j];
-      hole = j;
-    }
-    j = (j + 1) & bucket_mask_;
-  }
-  buckets_[hole] = kNoSlot;
-}
-
 void EntryTable::Erase(SlotId slot) {
-  WEBCC_CHECK(slot < arena_.size() && arena_[slot].object != kInvalidObjectId);
-  IndexErase(arena_[slot].object);
+  WEBCC_CHECK(slot < arena_.size());
+  // A freed slot holds kInvalidObjectId, which is never below slot_of_.size().
+  const ObjectId id = arena_[slot].object;
+  WEBCC_CHECK(id < slot_of_.size() && slot_of_[id] == slot) << "erasing object not in index";
+  slot_of_[id] = kNoSlot;
   Unlink(slot);
   arena_[slot].object = kInvalidObjectId;
   valid_[slot] = 0;  // freed slots never match the expiry sweep
@@ -144,8 +70,7 @@ void EntryTable::Clear() {
   lru_prev_.clear();
   lru_next_.clear();
   free_.clear();
-  buckets_.assign(kInitialBuckets, kNoSlot);
-  bucket_mask_ = kInitialBuckets - 1;
+  std::vector<SlotId>().swap(slot_of_);  // releases the index; Insert regrows it
   size_ = 0;
   head_ = kNoSlot;
   tail_ = kNoSlot;

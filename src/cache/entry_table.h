@@ -1,6 +1,6 @@
 // Columnar entry storage for ProxyCache.
 //
-// The per-request hot path — index probe, LRU touch, freshness check — runs
+// The per-request hot path — index lookup, LRU touch, freshness check — runs
 // entirely over flat arrays:
 //
 //   * a slot arena of CacheEntry records indexed by dense uint32_t slot ids
@@ -8,10 +8,11 @@
 //   * hot fields (`valid`, `expires_at`, `version`) mirrored into parallel
 //     columns, so the common time-based freshness check is one byte load and
 //     one int64 compare, never a CacheEntry dereference;
-//   * an open-addressing ObjectId → slot index (linear probing,
-//     backward-shift deletion, power-of-two capacity) replacing the
-//     node-based unordered_map — one cache line per probe, no per-entry
-//     allocation;
+//   * a dense ObjectId → slot index: ObjectStore hands out ids in
+//     [0, size()), so `slot_of_[id]` (kNoSlot = not cached) is the whole
+//     index — a lookup is a bounds check plus one load, and never reads
+//     the arena. It grows on Insert to the largest id inserted, so it
+//     costs 4 B × world objects per cache;
 //   * an intrusive doubly-linked LRU threaded through prev/next slot-id
 //     columns (front = most recently used), so TouchFront is a handful of
 //     array writes where the old std::list splice allocated a node per
@@ -44,27 +45,26 @@ class EntryTable {
   using SlotId = uint32_t;
   static constexpr SlotId kNoSlot = static_cast<SlotId>(-1);
 
-  EntryTable();
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // Returns the slot holding `id`, or kNoSlot. One probe chain, no
-  // allocation.
+  // Returns the slot holding `id`, or kNoSlot. One load, no allocation;
+  // ids past every inserted id are simply absent.
   SlotId Find(ObjectId id) const;
 
   // Allocates a slot for `id` and links it at the front (MRU) or back (LRU)
-  // of the chain. The object must not already be present (checked along the
-  // probe chain — insertion doubles as the uniqueness probe, so callers need
-  // no separate Contains()). The returned slot's entry is default-initialized
-  // except for `object`; fill it and call SyncHotColumns.
+  // of the chain. The object must not already be present (checked — callers
+  // need no separate Contains()). The returned slot's entry is
+  // default-initialized except for `object`; fill it and call
+  // SyncHotColumns.
   SlotId InsertFront(ObjectId id);
   SlotId InsertBack(ObjectId id);
 
-  // Unlinks and frees `slot`. The slot id may be recycled by a later insert.
+  // Unlinks and frees `slot`, which must be indexed under its entry's
+  // object. The slot id may be recycled by a later insert.
   void Erase(SlotId slot);
 
-  // Drops everything and releases storage (cache crash / DropAllEntries).
+  // Drops everything and releases the index (cache crash / DropAllEntries).
   void Clear();
 
   CacheEntry& entry(SlotId slot) { return arena_[slot]; }
@@ -122,12 +122,6 @@ class EntryTable {
   size_t SweepExpired(SimTime now);
 
  private:
-  static size_t HashObject(ObjectId id);
-  // Grows + rehashes the index when the next insert would exceed the load
-  // factor.
-  void MaybeGrowIndex();
-  // Finds `id`'s bucket (present or the empty bucket where it would go).
-  void IndexErase(ObjectId id);
   void LinkFront(SlotId slot);
   void LinkBack(SlotId slot);
   void Unlink(SlotId slot);
@@ -144,10 +138,9 @@ class EntryTable {
 
   std::vector<SlotId> free_;  // recycled slot ids, LIFO
 
-  // Open-addressing index: bucket → slot, kNoSlot = empty. Power-of-two
-  // size; linear probing with backward-shift deletion (no tombstones).
-  std::vector<SlotId> buckets_;
-  size_t bucket_mask_ = 0;
+  // Dense index: ObjectId → slot, kNoSlot = not cached. Sized to the
+  // largest id inserted since the last Clear.
+  std::vector<SlotId> slot_of_;
 
   size_t size_ = 0;
   SlotId head_ = kNoSlot;

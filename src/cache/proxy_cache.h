@@ -16,9 +16,10 @@
 // decisions never read the oracle.
 //
 // Storage is the columnar EntryTable (entry_table.h): a slot arena with the
-// freshness-critical fields mirrored into flat columns, an open-addressing
-// object index, and an intrusive LRU. The per-request hot path — probe,
-// touch, freshness check — does no allocation and, for policies that
+// freshness-critical fields mirrored into flat columns, a dense
+// ObjectId-indexed slot table (4 B per world object, no hashing), and an
+// intrusive LRU. The per-request hot path — lookup, touch, freshness
+// check — does no allocation and, for policies that
 // declare a ValidityModel shape, no virtual dispatch.
 
 #ifndef WEBCC_SRC_CACHE_PROXY_CACHE_H_
@@ -169,7 +170,7 @@ class ProxyCache : public InvalidationSink, public Upstream {
   // As above, additionally reporting the entry that served the request (or
   // nullptr if nothing is cached afterwards — failed request, or the entry
   // self-evicted under capacity pressure). Saves callers the second index
-  // probe of a HandleRequest-then-Find pair; the pointer is invalidated by
+  // lookup of a HandleRequest-then-Find pair; the pointer is invalidated by
   // any subsequent cache mutation.
   ServeResult HandleRequest(ObjectId id, SimTime now, const CacheEntry** served_entry);
 
@@ -271,6 +272,8 @@ class ProxyCache : public InvalidationSink, public Upstream {
   const ConsistencyPolicy& policy() const { return *policy_; }
   const std::string& name() const { return name_; }
   const CacheConfig& config() const { return config_; }
+  // The ground-truth store this cache scores staleness against, or nullptr.
+  const ObjectStore* oracle() const { return oracle_; }
 
  private:
   using SlotId = EntryTable::SlotId;

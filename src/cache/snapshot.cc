@@ -99,8 +99,16 @@ int64_t LoadCacheSnapshot(ProxyCache& cache, std::istream& is, SnapshotRecovery 
         return fail(line_no, StrFormat("field %zu is not an integer", i + 1));
       }
     }
-    if (*parsed[0] < 0) {
-      return fail(line_no, "negative object id");
+    // Ids index the cache's dense slot table, so one outside the world the
+    // cache serves (or kInvalidObjectId and up, when it has no oracle) would
+    // either trip an invariant or grow that table without bound.
+    const int64_t id_limit = cache.oracle() != nullptr
+                                 ? static_cast<int64_t>(cache.oracle()->size())
+                                 : static_cast<int64_t>(kInvalidObjectId);
+    if (*parsed[0] < 0 || *parsed[0] >= id_limit) {
+      return fail(line_no, StrFormat("object id %lld out of range [0, %lld)",
+                                     static_cast<long long>(*parsed[0]),
+                                     static_cast<long long>(id_limit)));
     }
     if (*parsed[1] < 0 || *parsed[1] >= kNumFileTypes) {
       return fail(line_no, "file type out of range");

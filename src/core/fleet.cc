@@ -86,9 +86,4 @@ FleetResult RunFleetSimulation(const Workload& load, const FleetConfig& config) 
   return result;
 }
 
-FleetResult RunFleetSimulation(const Workload& load, const FleetConfig& config,
-                               SweepRunner& /*runner*/) {
-  return RunFleetSimulation(load, config);
-}
-
 }  // namespace webcc

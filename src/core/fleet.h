@@ -112,15 +112,8 @@ struct FleetResult {
   double FanOutAmplification() const;
 };
 
-class SweepRunner;
-
 // Replays `load` with requests routed to cache (client_id % num_caches).
 FleetResult RunFleetSimulation(const Workload& load, const FleetConfig& config);
-
-// The same run; a fleet is one world, so `runner` is not used. Kept for
-// callers that pass their sweep's runner.
-FleetResult RunFleetSimulation(const Workload& load, const FleetConfig& config,
-                               SweepRunner& runner);
 
 }  // namespace webcc
 

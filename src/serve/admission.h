@@ -9,13 +9,18 @@
 // buffer — which is what keeps an overloaded frontend's latency bounded
 // (the clients that are admitted are served promptly; the rest learn
 // immediately).
+//
+// Lock-free: a reservation is one compare-and-swap on the depth, so depth
+// never exceeds capacity, and the counters are monotonic atomics. Neither
+// the submitting thread (TryAdmit) nor a finishing worker (Release) ever
+// waits for the other here.
 
 #ifndef WEBCC_SRC_SERVE_ADMISSION_H_
 #define WEBCC_SRC_SERVE_ADMISSION_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
 #include "src/util/check.h"
 
@@ -32,6 +37,7 @@ class AdmissionController {
   [[nodiscard]] bool TryAdmit();
 
   // Releases a previously admitted slot at the request's final outcome.
+  // Thread-safe.
   void Release();
 
   struct Counters {
@@ -42,16 +48,20 @@ class AdmissionController {
     size_t depth_peak = 0;  // high-water mark (never exceeds capacity)
     size_t capacity = 0;
   };
+  // Each field is read atomically; taken while requests are in flight the
+  // fields may be a few operations apart, exact once they quiesce.
   [[nodiscard]] Counters counters() const;
 
  private:
   const size_t capacity_;
-  mutable std::mutex mu_;  // guards: the counters below
-  uint64_t offered_ WEBCC_GUARDED_BY(mu_) = 0;
-  uint64_t admitted_ WEBCC_GUARDED_BY(mu_) = 0;
-  uint64_t shed_ WEBCC_GUARDED_BY(mu_) = 0;
-  size_t depth_ WEBCC_GUARDED_BY(mu_) = 0;
-  size_t depth_peak_ WEBCC_GUARDED_BY(mu_) = 0;
+  // The reservation itself; the submitting thread and the workers both
+  // write it, so it sits on its own cache line, away from the counters
+  // only the submitting side bumps.
+  alignas(64) std::atomic<size_t> depth_{0};
+  alignas(64) std::atomic<size_t> depth_peak_{0};
+  std::atomic<uint64_t> offered_{0};
+  std::atomic<uint64_t> admitted_{0};
+  std::atomic<uint64_t> shed_{0};
 };
 
 }  // namespace webcc

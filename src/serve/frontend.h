@@ -33,10 +33,10 @@
 //
 // Lock discipline: `cache_mu_` guards the simulated world (engine, origin,
 // mutator, gate, cache) — everything inherited from the single-threaded
-// simulator. The admission controller, breaker, and metrics each carry
-// their own internal lock and are never called with `cache_mu_` held in a
-// way that nests locks in both orders; modeled sleeps always happen with no
-// lock held.
+// simulator. The admission controller is lock-free; the breaker and
+// metrics each carry their own internal lock and are never called with
+// `cache_mu_` held in a way that nests locks in both orders; modeled sleeps
+// always happen with no lock held.
 
 #ifndef WEBCC_SRC_SERVE_FRONTEND_H_
 #define WEBCC_SRC_SERVE_FRONTEND_H_

@@ -139,9 +139,9 @@ TEST(EntryTableTest, GrowsPastInitialIndexCapacity) {
   EXPECT_EQ(table.entry(table.LruBack()).object, 0u);
 }
 
-TEST(EntryTableTest, BackwardShiftDeletionKeepsProbeChainsIntact) {
-  // Dense ids collide after mixing; interleaved erases exercise the
-  // backward-shift path. Every surviving id must stay findable.
+TEST(EntryTableTest, EraseThenReinsertKeepsEveryIdFindable) {
+  // Interleaved erases leave holes in the index and the free list; every
+  // surviving id must stay findable, and every erased id reinsertable.
   EntryTable table;
   for (ObjectId id = 0; id < 512; ++id) {
     table.InsertFront(id);
@@ -154,6 +154,7 @@ TEST(EntryTableTest, BackwardShiftDeletionKeepsProbeChainsIntact) {
       EXPECT_EQ(table.Find(id), EntryTable::kNoSlot) << id;
     } else {
       ASSERT_NE(table.Find(id), EntryTable::kNoSlot) << id;
+      EXPECT_EQ(table.entry(table.Find(id)).object, id);
     }
   }
   // Reinsert the erased ids; everything must be findable again.
@@ -162,8 +163,49 @@ TEST(EntryTableTest, BackwardShiftDeletionKeepsProbeChainsIntact) {
   }
   for (ObjectId id = 0; id < 512; ++id) {
     ASSERT_NE(table.Find(id), EntryTable::kNoSlot) << id;
+    EXPECT_EQ(table.entry(table.Find(id)).object, id);
   }
   EXPECT_EQ(table.size(), 512u);
+}
+
+TEST(EntryTableTest, FindPastEveryInsertedIdIsAbsent) {
+  EntryTable table;
+  table.InsertFront(3);
+  table.InsertFront(9);
+  EXPECT_EQ(table.Find(10), EntryTable::kNoSlot);
+  EXPECT_EQ(table.Find(1'000'000), EntryTable::kNoSlot);
+  EXPECT_EQ(table.Find(kInvalidObjectId - 1), EntryTable::kNoSlot);
+  EXPECT_EQ(table.Find(kInvalidObjectId), EntryTable::kNoSlot);
+  // Ids below the largest inserted one that were never inserted are absent
+  // too, and the lookups above left the table as it was.
+  EXPECT_EQ(table.Find(4), EntryTable::kNoSlot);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(LruOrder(table), (std::vector<ObjectId>{9, 3}));
+  // An id past the index is an ordinary insert.
+  const SlotId slot = table.InsertBack(100);
+  EXPECT_EQ(table.Find(100), slot);
+  EXPECT_EQ(LruOrder(table), (std::vector<ObjectId>{9, 3, 100}));
+}
+
+TEST(EntryTableTest, InvalidObjectIdInsertDies) {
+  EntryTable table;
+  EXPECT_DEATH(table.InsertFront(kInvalidObjectId), "kInvalidObjectId");
+}
+
+TEST(EntryTableTest, EraseOfUnindexedSlotDies) {
+  EntryTable table;
+  const SlotId slot = table.InsertFront(1);
+  table.InsertFront(2);
+  // The entry no longer names the object its slot is indexed under.
+  table.entry(slot).object = 7;
+  EXPECT_DEATH(table.Erase(slot), "erasing object not in index");
+  // Its slot is indexed under 1, but 2's slot is not the one erased.
+  table.entry(slot).object = 2;
+  EXPECT_DEATH(table.Erase(slot), "erasing object not in index");
+  // A freed slot is not indexed at all.
+  table.entry(slot).object = 1;
+  table.Erase(slot);
+  EXPECT_DEATH(table.Erase(slot), "erasing object not in index");
 }
 
 TEST(EntryTableTest, HotColumnsMirrorEntry) {
@@ -231,6 +273,25 @@ TEST(EntryTableTest, ClearReleasesEverything) {
   table.InsertFront(50);
   EXPECT_NE(table.Find(50), EntryTable::kNoSlot);
   EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(EntryTableTest, ClearReleasesTheIndex) {
+  // After a clear no id is indexed, however large: every old id is absent
+  // and can be inserted again without tripping the duplicate check, and
+  // the index regrows from the first insert.
+  EntryTable table;
+  table.InsertFront(5);
+  table.InsertFront(200'000);
+  table.Clear();
+  EXPECT_EQ(table.Find(5), EntryTable::kNoSlot);
+  EXPECT_EQ(table.Find(200'000), EntryTable::kNoSlot);
+  const SlotId small = table.InsertFront(5);
+  EXPECT_EQ(small, 0u);  // the arena restarted too
+  EXPECT_EQ(table.Find(5), small);
+  EXPECT_EQ(table.Find(200'000), EntryTable::kNoSlot);
+  const SlotId large = table.InsertFront(200'000);
+  EXPECT_EQ(table.Find(200'000), large);
+  EXPECT_EQ(table.size(), 2u);
 }
 
 }  // namespace

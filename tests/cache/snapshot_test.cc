@@ -206,6 +206,35 @@ TEST_F(SnapshotTest, ParseErrorsReported) {
   EXPECT_EQ(LoadCacheSnapshot(*cache, bad_id, SnapshotRecovery::kTrustSnapshot, &error), -1);
   EXPECT_NE(error.message.find("object id"), std::string::npos);
 
+  // Ids at or past kInvalidObjectId, and ids past the world's two objects:
+  // rejected, never truncated to a smaller id and never handed to the index.
+  for (const char* id : {"4294967295", "4294967296", "99999999999", "2", "3"}) {
+    std::istringstream out_of_world(std::string(kMagic) + id + " 1 100 1 0 0 0 0 1\n");
+    EXPECT_EQ(LoadCacheSnapshot(*cache, out_of_world, SnapshotRecovery::kTrustSnapshot, &error),
+              -1)
+        << id;
+    EXPECT_NE(error.message.find("out of range"), std::string::npos) << id;
+    EXPECT_EQ(error.line, 2u) << id;
+  }
+  // A good line before the bad one is not installed either.
+  std::istringstream good_then_far(std::string(kMagic) + "0 1 100 1 0 0 0 0 1\n" +
+                                   "4294967296 1 100 1 0 0 0 0 1\n");
+  EXPECT_EQ(LoadCacheSnapshot(*cache, good_then_far, SnapshotRecovery::kTrustSnapshot, &error),
+            -1);
+  EXPECT_EQ(error.line, 3u);
+  // Without an oracle there is no world size, but kInvalidObjectId and up
+  // are still out of range.
+  ProxyCache no_oracle("snap", &upstream_, MakePolicy(PolicyConfig::Ttl(Hours(1))), CacheConfig{},
+                       nullptr);
+  for (const char* id : {"4294967295", "4294967296"}) {
+    std::istringstream invalid_id(std::string(kMagic) + id + " 1 100 1 0 0 0 0 1\n");
+    EXPECT_EQ(LoadCacheSnapshot(no_oracle, invalid_id, SnapshotRecovery::kTrustSnapshot, &error),
+              -1)
+        << id;
+    EXPECT_NE(error.message.find("out of range"), std::string::npos) << id;
+  }
+  EXPECT_EQ(no_oracle.EntryCount(), 0u);
+
   EXPECT_EQ(LoadCacheSnapshotFile(*cache, "/nonexistent/x", SnapshotRecovery::kTrustSnapshot,
                                   &error),
             -1);

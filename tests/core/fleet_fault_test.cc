@@ -1,14 +1,13 @@
 // Per-link fault plans through RunFleetSimulation: the armed-all-zero
 // no-op, member-targeted fault isolation, crash/restart through the
-// snapshot path, and the bit-identical --jobs sharding guarantee with
-// faults enabled (the fault-free sharding identity lives in fleet_test.cc).
+// snapshot path, and run-to-run determinism with faults enabled (the
+// fault-free repeat check lives in fleet_test.cc).
 
 #include "src/core/fleet.h"
 
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
-#include "src/core/sweep_runner.h"
 #include "src/workload/worrell.h"
 
 namespace webcc {
@@ -81,7 +80,9 @@ TEST(FleetFaultTest, ArmedAllZeroFaultsAreAFleetNoOp) {
   }
 }
 
-TEST(FleetFaultTest, FaultedShardingIsFieldIdenticalAtAnyJobCount) {
+TEST(FleetFaultTest, FaultedRepeatRunsAreFieldIdentical) {
+  // Faults are drawn from seeded per-link substreams, so a faulted fleet
+  // replays identically run after run.
   FleetConfig config = MakeConfig(PolicyConfig::Invalidation(), 4);
   config.faults.loss_rate = 0.1;
   LinkFaultOverride lossy;
@@ -89,13 +90,9 @@ TEST(FleetFaultTest, FaultedShardingIsFieldIdenticalAtAnyJobCount) {
   lossy.loss_rate = 0.6;
   config.faults.link_overrides.push_back(lossy);
   config.faults.link_overrides.push_back(MemberCrash(0, Days(3), Hours(6)));
-  const FleetResult serial = RunFleetSimulation(FaultFleetLoad(), config);
-  SweepRunner one_job(1);
-  SweepRunner eight_jobs(8);
-  const FleetResult sharded1 = RunFleetSimulation(FaultFleetLoad(), config, one_job);
-  const FleetResult sharded8 = RunFleetSimulation(FaultFleetLoad(), config, eight_jobs);
-  ExpectFleetsIdentical(serial, sharded1);
-  ExpectFleetsIdentical(serial, sharded8);
+  const FleetResult first = RunFleetSimulation(FaultFleetLoad(), config);
+  const FleetResult second = RunFleetSimulation(FaultFleetLoad(), config);
+  ExpectFleetsIdentical(first, second);
 }
 
 TEST(FleetFaultTest, MemberTargetedCrashDarkensOnlyThatMember) {
@@ -137,7 +134,7 @@ TEST(FleetFaultTest, MemberTargetedTotalLossIsolatesStaleness) {
 TEST(FleetFaultTest, LinkFaultsDrawIndependentPerMemberStreams) {
   // The same base loss rate must not replay the same loss pattern on every
   // link: members fork their own substreams, so their degradation differs
-  // (while totals stay deterministic — asserted by the sharding test).
+  // (while totals stay deterministic — asserted by the repeat-run test).
   FleetConfig config = MakeConfig(PolicyConfig::Invalidation(), 4);
   config.faults.loss_rate = 0.35;
   const FleetResult result = RunFleetSimulation(FaultFleetLoad(), config);

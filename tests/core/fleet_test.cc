@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
-#include "src/core/sweep_runner.h"
 #include "src/workload/worrell.h"
 
 namespace webcc {
@@ -125,20 +124,16 @@ void ExpectFleetResultsIdentical(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.server.invalidations_delivered, b.server.invalidations_delivered);
 }
 
-TEST(FleetTest, ShardedExecutionIsFieldIdenticalAtAnyJobCount) {
-  // The sharded walk must be a pure scheduling change: member worlds are
-  // independent and summed in member order, so jobs=8 equals jobs=1 equals
-  // the runner-free serial path, field by field.
+TEST(FleetTest, RepeatRunsAreFieldIdentical) {
+  // A fleet is one deterministic replay: running the same config twice
+  // gives the same result, field by field. (Invariance across --jobs is
+  // pinned by FigureGolden.ablation_fleet, which runs at 1 and 4 jobs.)
   for (const PolicyConfig& policy :
        {PolicyConfig::Alex(0.2), PolicyConfig::Invalidation()}) {
     const FleetConfig config = MakeConfig(policy, 8);
-    const FleetResult serial = RunFleetSimulation(FleetLoad(), config);
-    SweepRunner one_job(1);
-    SweepRunner eight_jobs(8);
-    const FleetResult sharded1 = RunFleetSimulation(FleetLoad(), config, one_job);
-    const FleetResult sharded8 = RunFleetSimulation(FleetLoad(), config, eight_jobs);
-    ExpectFleetResultsIdentical(serial, sharded1);
-    ExpectFleetResultsIdentical(serial, sharded8);
+    const FleetResult first = RunFleetSimulation(FleetLoad(), config);
+    const FleetResult second = RunFleetSimulation(FleetLoad(), config);
+    ExpectFleetResultsIdentical(first, second);
   }
 }
 

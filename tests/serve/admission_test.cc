@@ -1,5 +1,6 @@
 #include "src/serve/admission.h"
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -70,6 +71,54 @@ TEST(AdmissionTest, DepthPeakNeverExceedsCapacityUnderContention) {
   EXPECT_EQ(counters.offered, counters.admitted + counters.shed);
   EXPECT_EQ(counters.depth, 0u);
   EXPECT_LE(counters.depth_peak, kCapacity);
+}
+
+TEST(AdmissionTest, ConcurrentHoldersNeverOverAdmit) {
+  // Threads hold their reservations across a yield, so admissions and
+  // releases genuinely interleave; at no instant may more than capacity
+  // slots be held, and once everyone has released the books balance.
+  constexpr size_t kCapacity = 3;
+  constexpr int kThreads = 8;
+  constexpr int kRoundsPerThread = 1000;
+  AdmissionController admission(kCapacity);
+  std::atomic<size_t> held{0};
+  std::atomic<size_t> held_peak{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRoundsPerThread; ++i) {
+        if (!admission.TryAdmit()) {
+          continue;
+        }
+        const size_t now_held = held.fetch_add(1) + 1;
+        size_t peak = held_peak.load();
+        while (peak < now_held && !held_peak.compare_exchange_weak(peak, now_held)) {
+        }
+        std::this_thread::yield();
+        held.fetch_sub(1);
+        admission.Release();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const auto counters = admission.counters();
+  EXPECT_EQ(counters.offered, static_cast<uint64_t>(kThreads) * kRoundsPerThread);
+  EXPECT_EQ(counters.offered, counters.admitted + counters.shed);
+  EXPECT_GT(counters.admitted, 0u);
+  EXPECT_EQ(counters.depth, 0u);
+  EXPECT_LE(counters.depth_peak, kCapacity);
+  EXPECT_LE(held_peak.load(), kCapacity);
+}
+
+TEST(AdmissionTest, ReleaseWithoutAdmitDies) {
+  AdmissionController admission(2);
+  EXPECT_DEATH(admission.Release(), "Release without a matching TryAdmit");
+  EXPECT_TRUE(admission.TryAdmit());
+  admission.Release();
+  EXPECT_DEATH(admission.Release(), "Release without a matching TryAdmit");
 }
 
 }  // namespace

@@ -210,28 +210,33 @@ TEST(ElasticThreadPoolTest, GrowsOnDemandUpToMaxWhenAllWorkersBlock) {
   ElasticThreadPool pool(options);
 
   std::mutex mu;
-  std::condition_variable cv;
+  std::condition_variable all_running;
+  std::condition_variable released;
   bool release = false;
-  std::atomic<size_t> running{0};
+  size_t running = 0;
   for (size_t i = 0; i < kMax; ++i) {
     pool.Submit([&] {
-      running.fetch_add(1);
       std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release; });
+      if (++running == kMax) {
+        all_running.notify_one();
+      }
+      released.wait(lock, [&] { return release; });
     });
   }
-  // All kMax tasks must end up running simultaneously: the pool grew.
-  for (int spin = 0; spin < 2000 && running.load() < kMax; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // All kMax tasks must end up running simultaneously: the pool grew. A
+  // pool that never grows hangs here until the ctest timeout fails it.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    all_running.wait(lock, [&] { return running == kMax; });
+    EXPECT_EQ(running, kMax);
   }
-  EXPECT_EQ(running.load(), kMax);
   EXPECT_EQ(pool.threads(), kMax);
   EXPECT_EQ(pool.peak_threads(), kMax);
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;
   }
-  cv.notify_all();
+  released.notify_all();
   pool.Wait();
 }
 
