@@ -1,15 +1,21 @@
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "src/cache/policy_factory.h"
 #include "src/chaos/campaign.h"
 #include "src/chaos/generator.h"
+#include "src/chaos/oracle.h"
 #include "src/chaos/shrinker.h"
+#include "src/core/simulation.h"
 #include "src/workload/registry.h"
 #include "tests/chaos/broken_policy.h"
 
@@ -391,6 +397,226 @@ TEST(RecoveryModeTest, CrashTwinHoldsForFleetMemberUnderEveryMode) {
     spec.config.faults.link_overrides.push_back(over);
     EXPECT_NO_THROW(RunTrialChecked(spec)) << spec.Describe();
   }
+}
+
+// --- Invariant 4's violation text, pinned ---------------------------------
+
+// Relays every hook to `oracle`, letting `tamper` rewrite each serve first:
+// how these tests make one twin differ at a known serve.
+class TamperingRelay : public SimObserver {
+ public:
+  TamperingRelay(ChaosOracle& oracle, std::function<void(ServeObservation&)> tamper)
+      : oracle_(oracle), tamper_(std::move(tamper)) {}
+  void OnRunStart(const ProxyCache& cache, const OriginServer& server) override {
+    oracle_.OnRunStart(cache, server);
+  }
+  void OnModification(ObjectId object, SimTime at) override {
+    oracle_.OnModification(object, at);
+  }
+  void OnServe(const ServeObservation& observation) override {
+    ServeObservation copy = observation;
+    if (tamper_) {
+      tamper_(copy);
+    }
+    oracle_.OnServe(copy);
+  }
+  void OnRunEnd(const ProxyCache& cache, const OriginServer& server) override {
+    oracle_.OnRunEnd(cache, server);
+  }
+
+ private:
+  ChaosOracle& oracle_;
+  std::function<void(ServeObservation&)> tamper_;
+};
+
+struct ObservedRun {
+  ChaosOracle oracle;
+  SimulationResult result;
+};
+
+// One run of `config` over `load`, watched by an oracle that judges it
+// against `config`'s declared policy.
+ObservedRun RunObserved(const Workload& load, SimulationConfig config,
+                        std::function<void(ServeObservation&)> tamper = nullptr) {
+  ObservedRun run{ChaosOracle(config), {}};
+  TamperingRelay relay(run.oracle, std::move(tamper));
+  config.observer = &relay;
+  run.result = RunSimulation(load, config);
+  return run;
+}
+
+// RecoveryModeTest's fixed world under `policy`: the crash point sits at
+// request 500 under `recovery`, or is disarmed when `crash` is false.
+SimulationConfig TwinConfig(const PolicyConfig& policy, CrashRecovery recovery, bool crash) {
+  SimulationConfig config = FixedCrashSpec(policy, recovery).config;
+  if (!crash) {
+    config.faults.snapshot_crash_request = -1;
+  }
+  return config;
+}
+
+const Workload& TwinWorkload() {
+  return SharedTrialWorkload(FixedCrashSpec(PolicyConfig::Ttl(Hours(1)), CrashRecovery::kAuto));
+}
+
+// Rewrites the first validated hit at or after request `from` into a
+// refetch: a serve-kind difference the oracle's own per-serve checks accept.
+std::function<void(ServeObservation&)> RefetchFirstValidationFrom(uint64_t from) {
+  auto done = std::make_shared<bool>(false);
+  return [done, from](ServeObservation& o) {
+    if (!*done && o.request_index >= from && o.result.kind == ServeKind::kHitValidated) {
+      o.result.kind = ServeKind::kMissRefetched;
+      *done = true;
+    }
+  };
+}
+
+// The twin's cache runs a 30-minute TTL behind the declared one-hour TTL:
+// every expires_at differs, and no serve outlives the declared window.
+void ShortenTtl(SimulationConfig& config) {
+  config.policy_factory = [] { return MakePolicy(PolicyConfig::Ttl(Minutes(30))); };
+}
+
+template <typename Check>
+OracleViolation ViolationOf(Check check) {
+  try {
+    check();
+  } catch (const OracleViolation& violation) {
+    return violation;
+  }
+  ADD_FAILURE() << "the twin comparison found no violation";
+  return {};
+}
+
+TEST(ChaosOracleTest, CrashConsistencyNamesTheFirstServeKindDifference) {
+  const SimulationConfig config =
+      TwinConfig(PolicyConfig::Ttl(Hours(1)), CrashRecovery::kTrustSnapshot, false);
+  const ObservedRun baseline = RunObserved(TwinWorkload(), config);
+  const ObservedRun crashed = RunObserved(TwinWorkload(), config, RefetchFirstValidationFrom(100));
+  const OracleViolation v = ViolationOf([&] {
+    ChaosOracle::VerifyCrashConsistency(baseline.oracle, baseline.result, crashed.oracle,
+                                        crashed.result);
+  });
+  EXPECT_EQ(v.invariant, "crash-consistency");
+  EXPECT_EQ(v.message,
+            "serve #155 (object 5, t=0+01:00:12): serve kind differs: baseline hit-validated, "
+            "crashed miss-refetched");
+}
+
+TEST(ChaosOracleTest, CrashConsistencyNamesTheFirstEntryFieldDifference) {
+  SimulationConfig config =
+      TwinConfig(PolicyConfig::Ttl(Hours(1)), CrashRecovery::kTrustSnapshot, false);
+  const ObservedRun baseline = RunObserved(TwinWorkload(), config);
+  ShortenTtl(config);
+  const ObservedRun crashed = RunObserved(TwinWorkload(), config);
+  const OracleViolation v = ViolationOf([&] {
+    ChaosOracle::VerifyCrashConsistency(baseline.oracle, baseline.result, crashed.oracle,
+                                        crashed.result);
+  });
+  EXPECT_EQ(v.invariant, "crash-consistency");
+  EXPECT_EQ(v.message,
+            "serve #0 (object 13, t=0+00:00:57): entry field expires_at differs: baseline "
+            "0+01:00:00, crashed 0+00:30:00");
+}
+
+TEST(ChaosOracleTest, CrashConsistencyNamesTheFirstFinalEntryDifference) {
+  // A modification after the last request invalidates the most recently
+  // served entry in the twin only: every serve matches, the final cache
+  // does not.
+  const SimulationConfig config =
+      TwinConfig(PolicyConfig::Invalidation(), CrashRecovery::kTrustSnapshot, false);
+  const Workload& load = TwinWorkload();
+  Workload trailing = load;
+  ModificationEvent mod;
+  mod.at = load.requests.back().at + Seconds(1);
+  mod.object_index = load.requests.back().object_index;
+  trailing.modifications.push_back(mod);
+  trailing.horizon = std::max(trailing.horizon, mod.at);
+  const ObservedRun baseline = RunObserved(load, config);
+  const ObservedRun crashed = RunObserved(trailing, config);
+  const OracleViolation v = ViolationOf([&] {
+    ChaosOracle::VerifyCrashConsistency(baseline.oracle, baseline.result, crashed.oracle,
+                                        crashed.result);
+  });
+  EXPECT_EQ(v.invariant, "crash-consistency");
+  EXPECT_EQ(v.message, "final entry #0: entry field valid differs: baseline 1, crashed 0");
+}
+
+TEST(ChaosOracleTest, CrashConsistencyNamesAByTypeStatDifference) {
+  const SimulationConfig config =
+      TwinConfig(PolicyConfig::Ttl(Hours(1)), CrashRecovery::kTrustSnapshot, false);
+  const ObservedRun baseline = RunObserved(TwinWorkload(), config);
+  ObservedRun crashed = RunObserved(TwinWorkload(), config);
+  crashed.result.cache.by_type[1].validations += 1;
+  const OracleViolation v = ViolationOf([&] {
+    ChaosOracle::VerifyCrashConsistency(baseline.oracle, baseline.result, crashed.oracle,
+                                        crashed.result);
+  });
+  EXPECT_EQ(v.invariant, "crash-consistency");
+  EXPECT_EQ(v.message, "cache by_type[1] stat validations differs: baseline 2157, crashed 2158");
+}
+
+TEST(ChaosOracleTest, RecoveryDivergenceNamesPreCrashDifferences) {
+  // Before the crash point the divergent modes still demand field identity,
+  // under either flavor of the contract.
+  for (const bool cold_start : {false, true}) {
+    const CrashRecovery recovery =
+        cold_start ? CrashRecovery::kColdStart : CrashRecovery::kRevalidateAll;
+    const ObservedRun baseline = RunObserved(
+        TwinWorkload(), TwinConfig(PolicyConfig::Ttl(Hours(1)), recovery, false));
+    SimulationConfig config = TwinConfig(PolicyConfig::Ttl(Hours(1)), recovery, true);
+    const ObservedRun kind_twin =
+        RunObserved(TwinWorkload(), config, RefetchFirstValidationFrom(100));
+    const OracleViolation kind = ViolationOf([&] {
+      ChaosOracle::VerifyRecoveryDivergence(baseline.oracle, baseline.result, kind_twin.oracle,
+                                            kind_twin.result, cold_start);
+    });
+    EXPECT_EQ(kind.invariant, "crash-recovery");
+    EXPECT_EQ(kind.message,
+              "serve #155 (object 5, t=0+01:00:12): serve kind differs: baseline hit-validated, "
+              "crashed miss-refetched");
+
+    ShortenTtl(config);
+    const ObservedRun field_twin = RunObserved(TwinWorkload(), config);
+    const OracleViolation field = ViolationOf([&] {
+      ChaosOracle::VerifyRecoveryDivergence(baseline.oracle, baseline.result, field_twin.oracle,
+                                            field_twin.result, cold_start);
+    });
+    EXPECT_EQ(field.invariant, "crash-recovery");
+    EXPECT_EQ(field.message,
+              "serve #0 (object 13, t=0+00:00:57): entry field expires_at differs: baseline "
+              "0+01:00:00, crashed 0+00:30:00");
+  }
+}
+
+TEST(ChaosOracleTest, RecoveryDivergenceNamesABrokenFirstTouchContract) {
+  // A twin that recovered under a laxer mode than the one it is judged by:
+  // trust-snapshot serves fresh hits revalidate-all forbids, and
+  // revalidate-all validates where cold-start must miss.
+  const PolicyConfig policy = PolicyConfig::Ttl(Hours(1));
+  const ObservedRun baseline =
+      RunObserved(TwinWorkload(), TwinConfig(policy, CrashRecovery::kTrustSnapshot, false));
+  const ObservedRun trusted =
+      RunObserved(TwinWorkload(), TwinConfig(policy, CrashRecovery::kTrustSnapshot, true));
+  const OracleViolation fresh = ViolationOf([&] {
+    ChaosOracle::VerifyRecoveryDivergence(baseline.oracle, baseline.result, trusted.oracle,
+                                          trusted.result, /*cold_start=*/false);
+  });
+  EXPECT_EQ(fresh.invariant, "crash-recovery");
+  EXPECT_EQ(fresh.message,
+            "serve #500 (object 49, t=0+03:01:47): first touch after a revalidate-all crash "
+            "served a fresh hit (the restored entry skipped revalidation)");
+
+  const ObservedRun revalidated =
+      RunObserved(TwinWorkload(), TwinConfig(policy, CrashRecovery::kRevalidateAll, true));
+  const OracleViolation warm = ViolationOf([&] {
+    ChaosOracle::VerifyRecoveryDivergence(baseline.oracle, baseline.result, revalidated.oracle,
+                                          revalidated.result, /*cold_start=*/true);
+  });
+  EXPECT_EQ(warm.invariant, "crash-recovery");
+  EXPECT_EQ(warm.message,
+            "serve #500 (object 49, t=0+03:01:47): first touch after a cold-start crash must be "
+            "a cold miss or a failed fetch, got hit-validated");
 }
 
 // --- Campaign determinism with pinned topologies --------------------------
