@@ -387,16 +387,6 @@ void ProxyCache::ForEachEntry(const std::function<void(const CacheEntry&)>& fn) 
   }
 }
 
-std::vector<CacheEntry> ProxyCache::SnapshotEntries() const {
-  std::vector<CacheEntry> entries;
-  entries.reserve(table_.size());
-  for (SlotId slot = table_.MruFront(); slot != EntryTable::kNoSlot;
-       slot = table_.NextOlder(slot)) {
-    entries.push_back(table_.entry(slot));
-  }
-  return entries;
-}
-
 void ProxyCache::RestoreEntry(const CacheEntry& entry) {
   // restored entries queue behind live ones; InsertBack doubles as the
   // "object must not already be cached" probe

@@ -236,10 +236,6 @@ class ProxyCache : public InvalidationSink, public Upstream {
   // Visits every cached entry in LRU order (most recent first).
   void ForEachEntry(const std::function<void(const CacheEntry&)>& fn) const;
 
-  // Copies every cached entry in LRU order (most recent first) — the chaos
-  // oracle's end-of-run state capture for invariant 4 comparisons.
-  std::vector<CacheEntry> SnapshotEntries() const;
-
   // Reinstalls an entry verbatim, as snapshot recovery does after a restart.
   // Deliberately does NOT register invalidation interest with the upstream:
   // a restarted cache is unknown to the server until it talks to it again —

@@ -93,12 +93,17 @@ TrialRun RunFleetTrial(const TrialSpec& spec, const Workload& load) {
   fleet.faults = spec.config.faults;
   fleet.keep_member_results = true;
 
+  // Every member of a crash trial is compared against its twin, so every
+  // member logs; other fleet trials only count.
+  const OracleRecord record = spec.kind == TrialKind::kCrashConsistency
+                                  ? OracleRecord::kTwinLog
+                                  : OracleRecord::kCountOnly;
   std::vector<ChaosOracle> oracles;
   oracles.reserve(members);
   for (uint32_t m = 0; m < members; ++m) {
     SimulationConfig member = spec.config;
     member.faults = spec.config.faults.ForLink(m);
-    oracles.emplace_back(member);
+    oracles.emplace_back(member, OracleScope::kSingleTier, record);
   }
   fleet.member_observer = [&oracles](uint32_t m) -> SimObserver* { return &oracles[m]; };
 
@@ -156,8 +161,8 @@ TrialRun RunHierarchyTrial(const TrialSpec& spec, const Workload& load) {
   tree.preload = spec.config.preload;
   tree.faults = spec.config.faults;
 
-  ChaosOracle oracle_a(spec.config, OracleScope::kHierarchyLeaf);
-  ChaosOracle oracle_b(spec.config, OracleScope::kHierarchyLeaf);
+  ChaosOracle oracle_a(spec.config, OracleScope::kHierarchyLeaf, OracleRecord::kCountOnly);
+  ChaosOracle oracle_b(spec.config, OracleScope::kHierarchyLeaf, OracleRecord::kCountOnly);
   tree.leaf_observer_a = &oracle_a;
   tree.leaf_observer_b = &oracle_b;
 
@@ -188,15 +193,17 @@ TrialRun RunTrialChecked(const TrialSpec& spec) {
     return RunHierarchyTrial(spec, load);
   }
 
+  const bool crash_twin = spec.kind == TrialKind::kCrashConsistency &&
+                          spec.config.faults.snapshot_crash_request >= 0;
   SimulationConfig config = spec.config;
-  ChaosOracle oracle(config);
+  ChaosOracle oracle(config, OracleScope::kSingleTier,
+                     crash_twin ? OracleRecord::kTwinLog : OracleRecord::kCountOnly);
   config.observer = &oracle;
   TrialRun run;
   run.result = RunSimulation(load, config);
   oracle.VerifyResult(run.result);
 
-  if (spec.kind == TrialKind::kCrashConsistency &&
-      spec.config.faults.snapshot_crash_request >= 0) {
+  if (crash_twin) {
     // Invariant 4: compare the uninterrupted twin under the recovery mode's
     // contract.
     SimulationConfig baseline_config = spec.config;

@@ -1,6 +1,7 @@
 #include "src/chaos/oracle.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "src/core/metrics.h"
@@ -39,6 +40,37 @@ std::string Where(const ServeObservation& o) {
 
 }  // namespace
 
+PersistedEntry PersistedEntry::Of(const CacheEntry& entry) {
+  PersistedEntry p;
+  p.object = entry.object;
+  p.type = entry.type;
+  p.valid = entry.valid;
+  p.size_bytes = entry.size_bytes;
+  p.version = entry.version;
+  p.last_modified = entry.last_modified;
+  p.fetched_at = entry.fetched_at;
+  p.validated_at = entry.validated_at;
+  p.expires_at = entry.expires_at;
+  return p;
+}
+
+ServeRecord ServeRecord::Of(const ServeObservation& o) {
+  ServeRecord r;
+  r.object = o.object;
+  r.kind = o.result.kind;
+  r.stale = o.result.stale;
+  r.hops = o.result.hops;
+  r.link_bytes = o.result.link_bytes;
+  r.at = o.at;
+  if (o.entry != nullptr) {
+    r.has_entry = true;
+    r.entry = PersistedEntry::Of(*o.entry);
+  }
+  return r;
+}
+
+static_assert(std::is_trivially_copyable_v<ServeRecord>);
+
 SimDuration ChaosOracle::MaxExchangeElapsed(const RetryPolicy& retry) {
   const int budget = retry.max_attempts < 1 ? 1 : retry.max_attempts;
   SimDuration elapsed(0);
@@ -51,8 +83,9 @@ SimDuration ChaosOracle::MaxExchangeElapsed(const RetryPolicy& retry) {
   return elapsed;
 }
 
-ChaosOracle::ChaosOracle(const SimulationConfig& config, OracleScope scope)
-    : config_(config), scope_(scope) {
+ChaosOracle::ChaosOracle(const SimulationConfig& config, OracleScope scope,
+                         OracleRecord record)
+    : config_(config), scope_(scope), record_(record) {
   config_.observer = nullptr;
   config_.policy_factory = nullptr;
   // Conservation laws compare the final stats against the full serve log; a
@@ -133,19 +166,23 @@ SimDuration ChaosOracle::RecomputeWindow(const CacheEntry& entry) const {
 }
 
 void ChaosOracle::OnServe(const ServeObservation& o) {
-  serves_.push_back(o);
+  ++serve_count_;
+  if (record_ == OracleRecord::kTwinLog) {
+    serves_.push_back(ServeRecord::Of(o));
+  }
 
   // Invariant 5: the version ceiling. The origin numbers versions
   // 1 + change-count, so nothing downstream — at any tier, after any crash,
   // restore, or redelivery — can hold a version past what the origin has
   // produced by now. A violation is a copy from the future.
-  if (o.has_entry) {
+  const CacheEntry* entry = o.entry;
+  if (entry != nullptr) {
     const uint64_t ceiling = 1 + shadow_.ModificationCount(o.object);
-    if (o.entry.version > ceiling) {
+    if (entry->version > ceiling) {
       Fail("version-conservation",
            Where(o) + StrFormat(": entry version %llu exceeds the origin's newest "
                                 "possible version %llu (%llu modifications applied)",
-                                static_cast<unsigned long long>(o.entry.version),
+                                static_cast<unsigned long long>(entry->version),
                                 static_cast<unsigned long long>(ceiling),
                                 static_cast<unsigned long long>(
                                     shadow_.ModificationCount(o.object))));
@@ -154,11 +191,11 @@ void ChaosOracle::OnServe(const ServeObservation& o) {
 
   // Stale-flag cross-check: the simulator's verdict vs the shadow model's.
   const bool entry_stale =
-      o.has_entry && shadow_.WouldBeStale(o.object, o.entry.last_modified);
+      entry != nullptr && shadow_.WouldBeStale(o.object, entry->last_modified);
   switch (o.result.kind) {
     case ServeKind::kHitFresh:
     case ServeKind::kDegraded:
-      if (!o.has_entry) {
+      if (entry == nullptr) {
         Fail("stale-flag", Where(o) + ": served from the cache but no entry remains");
       }
       if (o.result.stale != entry_stale) {
@@ -166,7 +203,7 @@ void ChaosOracle::OnServe(const ServeObservation& o) {
              Where(o) + StrFormat(": simulator flagged stale=%d but the shadow model says %d "
                                   "(entry last_modified=%s)",
                                   o.result.stale ? 1 : 0, entry_stale ? 1 : 0,
-                                  o.entry.last_modified.ToString().c_str()));
+                                  entry->last_modified.ToString().c_str()));
       }
       break;
     case ServeKind::kHitValidated:
@@ -206,10 +243,10 @@ void ChaosOracle::OnServe(const ServeObservation& o) {
   // Degraded serves are exempt — stale-if-error trades exactly this away.
   if (o.result.kind == ServeKind::kHitFresh && has_window_bound_) {
     const std::optional<SimTime> went_bad =
-        shadow_.FirstModificationAfter(o.object, o.entry.last_modified);
+        shadow_.FirstModificationAfter(o.object, entry->last_modified);
     WEBCC_CHECK(went_bad.has_value());  // stale implies a newer applied mod
     const SimDuration staleness = o.at - *went_bad;
-    const SimDuration window = RecomputeWindow(o.entry);
+    const SimDuration window = RecomputeWindow(*entry);
     const SimDuration bound = window + slack_ + Seconds(1);
     if (staleness > bound) {
       Fail("staleness-bound",
@@ -220,15 +257,18 @@ void ChaosOracle::OnServe(const ServeObservation& o) {
                          staleness.ToString().c_str(),
                          std::string(PolicyKindName(config_.policy.kind)).c_str(),
                          bound.ToString().c_str(), window.ToString().c_str(),
-                         slack_.ToString().c_str(), o.entry.validated_at.ToString().c_str(),
-                         o.entry.last_modified.ToString().c_str(),
-                         o.entry.expires_at.ToString().c_str()));
+                         slack_.ToString().c_str(), entry->validated_at.ToString().c_str(),
+                         entry->last_modified.ToString().c_str(),
+                         entry->expires_at.ToString().c_str()));
     }
   }
 }
 
 void ChaosOracle::OnRunEnd(const ProxyCache& cache, const OriginServer& server) {
-  final_entries_ = cache.SnapshotEntries();
+  if (record_ == OracleRecord::kTwinLog) {
+    cache.ForEachEntry(
+        [this](const CacheEntry& entry) { final_entries_.push_back(PersistedEntry::Of(entry)); });
+  }
   // A cache below another cache has no origin ledger of its own; its
   // in-flight notices are the parent's to count.
   const CacheId id = server.IdOf(&cache);
@@ -242,10 +282,11 @@ void ChaosOracle::VerifyResult(const SimulationResult& result) const {
   const ServerStats& server = result.server;
 
   // Invariant 3: the books balance exactly.
-  if (cache.requests != serves_.size()) {
+  if (cache.requests != serve_count_) {
     Fail("conservation",
-         StrFormat("stats saw %llu requests but the observer saw %zu serves",
-                   static_cast<unsigned long long>(cache.requests), serves_.size()));
+         StrFormat("stats saw %llu requests but the observer saw %llu serves",
+                   static_cast<unsigned long long>(cache.requests),
+                   static_cast<unsigned long long>(serve_count_)));
   }
   if (const int64_t gap = RequestConservationGap(cache); gap != 0) {
     Fail("conservation",
@@ -300,7 +341,7 @@ void ChaosOracle::VerifyResult(const SimulationResult& result) const {
   // with zero dark time.
   const int64_t scr = config_.faults.snapshot_crash_request;
   const uint64_t expected_crashes =
-      (scr >= 0 && static_cast<uint64_t>(scr) < serves_.size()) ? 1 : 0;
+      (scr >= 0 && static_cast<uint64_t>(scr) < serve_count_) ? 1 : 0;
   const auto expect_zero = [](const char* field, uint64_t value) {
     if (value != 0) {
       Fail("zero-fault", StrFormat("fault-free run has %s=%llu", field,
@@ -334,16 +375,24 @@ void ChaosOracle::VerifyResult(const SimulationResult& result) const {
 
 namespace {
 
-// Equality over the persisted entry fields (snapshot.cc's 9 columns).
-// serve_count and serves_since_validation are in-memory only: a restore
-// legitimately resets them, and no non-adaptive policy reads them.
-void CheckPersistedEntryFields(const char* invariant, const std::string& where,
-                               const CacheEntry& a, const CacheEntry& b) {
+// Context prefix for twin-comparison messages. Built only on the failure
+// path: the comparisons run once per serve, and a formatted time costs
+// more than the comparison itself.
+std::string ServeWhere(size_t index, const ServeRecord& r) {
+  return StrFormat("serve #%zu (object %u, t=%s)", index, static_cast<unsigned>(r.object),
+                   r.at.ToString().c_str());
+}
+
+// Equality over the persisted entry fields. `where()` renders the message
+// prefix once a field differs.
+template <typename Where>
+void CheckPersistedEntryFields(const char* invariant, const Where& where,
+                               const PersistedEntry& a, const PersistedEntry& b) {
   const auto fail = [&](const char* field, const std::string& lhs, const std::string& rhs) {
     throw OracleViolation{
         invariant,
-        where + StrFormat(": entry field %s differs: baseline %s, crashed %s", field,
-                          lhs.c_str(), rhs.c_str())};
+        where() + StrFormat(": entry field %s differs: baseline %s, crashed %s", field,
+                            lhs.c_str(), rhs.c_str())};
   };
   const auto num = [](int64_t v) { return StrFormat("%lld", static_cast<long long>(v)); };
   if (a.object != b.object) fail("object", num(a.object), num(b.object));
@@ -379,31 +428,39 @@ void CheckStatField(const char* scope, const char* field, uint64_t baseline, uin
   }
 }
 
+// CheckStatField for one by_type row; the scope is formatted only on failure.
+void CheckTypeStatField(size_t type, const char* field, uint64_t baseline, uint64_t crashed) {
+  if (baseline != crashed) {
+    CheckStatField(StrFormat("cache by_type[%zu]", type).c_str(), field, baseline, crashed);
+  }
+}
+
 // Serve-record equality for the twin-run comparisons: verdict fields plus
-// the persisted entry state. `invariant` names the check that throws.
-void CompareServeRecords(const char* invariant, const std::string& where,
-                         const ServeObservation& a, const ServeObservation& b) {
+// the persisted entry state of serve #`index`. `invariant` names the check
+// that throws.
+void CompareServeRecords(const char* invariant, size_t index, const ServeRecord& a,
+                         const ServeRecord& b) {
+  const auto where = [&] { return ServeWhere(index, a); };
   const auto fail = [&](const std::string& message) {
-    throw OracleViolation{invariant, where + message};
+    throw OracleViolation{invariant, where() + message};
   };
   if (a.object != b.object || a.at != b.at) {
     fail(": replay streams diverged (object/time mismatch)");
   }
-  if (a.result.kind != b.result.kind) {
-    fail(StrFormat(": serve kind differs: baseline %s, crashed %s",
-                   ServeKindName(a.result.kind), ServeKindName(b.result.kind)));
+  if (a.kind != b.kind) {
+    fail(StrFormat(": serve kind differs: baseline %s, crashed %s", ServeKindName(a.kind),
+                   ServeKindName(b.kind)));
   }
-  if (a.result.stale != b.result.stale) {
-    fail(StrFormat(": stale flag differs: baseline %d, crashed %d", a.result.stale ? 1 : 0,
-                   b.result.stale ? 1 : 0));
+  if (a.stale != b.stale) {
+    fail(StrFormat(": stale flag differs: baseline %d, crashed %d", a.stale ? 1 : 0,
+                   b.stale ? 1 : 0));
   }
-  if (a.result.link_bytes != b.result.link_bytes) {
+  if (a.link_bytes != b.link_bytes) {
     fail(StrFormat(": link bytes differ: baseline %lld, crashed %lld",
-                   static_cast<long long>(a.result.link_bytes),
-                   static_cast<long long>(b.result.link_bytes)));
+                   static_cast<long long>(a.link_bytes), static_cast<long long>(b.link_bytes)));
   }
-  if (a.result.hops != b.result.hops) {
-    fail(StrFormat(": hops differ: baseline %d, crashed %d", a.result.hops, b.result.hops));
+  if (a.hops != b.hops) {
+    fail(StrFormat(": hops differ: baseline %d, crashed %d", a.hops, b.hops));
   }
   if (a.has_entry != b.has_entry) {
     fail(StrFormat(": entry presence differs: baseline %d, crashed %d", a.has_entry ? 1 : 0,
@@ -422,6 +479,8 @@ void ChaosOracle::VerifyCrashConsistency(const ChaosOracle& baseline,
                                          const SimulationResult& crashed_result) {
   WEBCC_CHECK(baseline.run_ended_);
   WEBCC_CHECK(crashed.run_ended_);
+  WEBCC_CHECK(baseline.record_ == OracleRecord::kTwinLog);
+  WEBCC_CHECK(crashed.record_ == OracleRecord::kTwinLog);
 
   // Serve logs, request by request.
   if (baseline.serves_.size() != crashed.serves_.size()) {
@@ -430,11 +489,7 @@ void ChaosOracle::VerifyCrashConsistency(const ChaosOracle& baseline,
                    baseline.serves_.size(), crashed.serves_.size()));
   }
   for (size_t i = 0; i < baseline.serves_.size(); ++i) {
-    const ServeObservation& a = baseline.serves_[i];
-    const std::string where =
-        StrFormat("serve #%zu (object %u, t=%s)", i, static_cast<unsigned>(a.object),
-                  a.at.ToString().c_str());
-    CompareServeRecords("crash-consistency", where, a, crashed.serves_[i]);
+    CompareServeRecords("crash-consistency", i, baseline.serves_[i], crashed.serves_[i]);
   }
 
   // Final cache contents, in LRU order (restore preserves it).
@@ -444,15 +499,16 @@ void ChaosOracle::VerifyCrashConsistency(const ChaosOracle& baseline,
                    baseline.final_entries_.size(), crashed.final_entries_.size()));
   }
   for (size_t i = 0; i < baseline.final_entries_.size(); ++i) {
-    CheckPersistedEntryFields("crash-consistency", StrFormat("final entry #%zu", i),
-                              baseline.final_entries_[i], crashed.final_entries_[i]);
+    CheckPersistedEntryFields(
+        "crash-consistency", [i] { return StrFormat("final entry #%zu", i); },
+        baseline.final_entries_[i], crashed.final_entries_[i]);
   }
 
   // Statistics, field by field. The crash cycle itself accounts exactly one
   // extra crash with zero dark time; everything else must be identical.
   const int64_t scr = crashed.config_.faults.snapshot_crash_request;
   const uint64_t allowance =
-      (scr >= 0 && static_cast<uint64_t>(scr) < crashed.serves_.size()) ? 1 : 0;
+      (scr >= 0 && static_cast<uint64_t>(scr) < crashed.serve_count_) ? 1 : 0;
   const CacheStats& bc = baseline_result.cache;
   const CacheStats& cc = crashed_result.cache;
   if (cc.crashes != bc.crashes + allowance) {
@@ -494,13 +550,12 @@ void ChaosOracle::VerifyCrashConsistency(const ChaosOracle& baseline,
   for (size_t t = 0; t < bc.by_type.size(); ++t) {
     const CacheStats::TypeCounters& x = bc.by_type[t];
     const CacheStats::TypeCounters& y = cc.by_type[t];
-    const std::string scope = StrFormat("cache by_type[%zu]", t);
-    CheckStatField(scope.c_str(), "requests", x.requests, y.requests);
-    CheckStatField(scope.c_str(), "stale_hits", x.stale_hits, y.stale_hits);
-    CheckStatField(scope.c_str(), "misses", x.misses, y.misses);
-    CheckStatField(scope.c_str(), "validations", x.validations, y.validations);
-    CheckStatField(scope.c_str(), "payload_bytes", static_cast<uint64_t>(x.payload_bytes),
-                   static_cast<uint64_t>(y.payload_bytes));
+    CheckTypeStatField(t, "requests", x.requests, y.requests);
+    CheckTypeStatField(t, "stale_hits", x.stale_hits, y.stale_hits);
+    CheckTypeStatField(t, "misses", x.misses, y.misses);
+    CheckTypeStatField(t, "validations", x.validations, y.validations);
+    CheckTypeStatField(t, "payload_bytes", static_cast<uint64_t>(x.payload_bytes),
+                       static_cast<uint64_t>(y.payload_bytes));
   }
   const ServerStats& bs = baseline_result.server;
   const ServerStats& cs = crashed_result.server;
@@ -533,9 +588,11 @@ void ChaosOracle::VerifyRecoveryDivergence(const ChaosOracle& baseline,
                                            bool cold_start) {
   WEBCC_CHECK(baseline.run_ended_);
   WEBCC_CHECK(crashed.run_ended_);
+  WEBCC_CHECK(baseline.record_ == OracleRecord::kTwinLog);
+  WEBCC_CHECK(crashed.record_ == OracleRecord::kTwinLog);
 
   const int64_t scr = crashed.config_.faults.snapshot_crash_request;
-  if (scr < 0 || static_cast<uint64_t>(scr) >= crashed.serves_.size()) {
+  if (scr < 0 || static_cast<uint64_t>(scr) >= crashed.serve_count_) {
     // The crash point never fired: the twins ran identical configurations
     // and must be field-identical regardless of recovery mode.
     VerifyCrashConsistency(baseline, baseline_result, crashed, crashed_result);
@@ -550,21 +607,18 @@ void ChaosOracle::VerifyRecoveryDivergence(const ChaosOracle& baseline,
   const size_t crash_index = static_cast<size_t>(scr);
   std::vector<bool> touched;  // objects first served after the crash point
   for (size_t i = 0; i < baseline.serves_.size(); ++i) {
-    const ServeObservation& a = baseline.serves_[i];
-    const ServeObservation& b = crashed.serves_[i];
-    const std::string where =
-        StrFormat("serve #%zu (object %u, t=%s)", i, static_cast<unsigned>(a.object),
-                  a.at.ToString().c_str());
+    const ServeRecord& a = baseline.serves_[i];
+    const ServeRecord& b = crashed.serves_[i];
     if (i < crash_index) {
       // Before the crash the runs are the same program: full field identity.
-      CompareServeRecords("crash-recovery", where, a, b);
+      CompareServeRecords("crash-recovery", i, a, b);
       continue;
     }
     // After it the serve outcomes legitimately diverge, but the replay
     // stream is the workload's and may not.
     if (a.object != b.object || a.at != b.at) {
       throw OracleViolation{"crash-recovery",
-                            where + ": replay streams diverged (object/time mismatch)"};
+                            ServeWhere(i, a) + ": replay streams diverged (object/time mismatch)"};
     }
     const size_t object = static_cast<size_t>(b.object);
     if (object >= touched.size()) {
@@ -580,21 +634,21 @@ void ChaosOracle::VerifyRecoveryDivergence(const ChaosOracle& baseline,
       // the first touch is a cold miss — or a failed serve when another
       // armed fault (link loss, origin downtime) kills the refetch itself.
       // A failure hands the client no body, so it cannot break consistency.
-      if (b.result.kind != ServeKind::kMissCold && b.result.kind != ServeKind::kFailed) {
+      if (b.kind != ServeKind::kMissCold && b.kind != ServeKind::kFailed) {
         throw OracleViolation{
             "crash-recovery",
-            where + StrFormat(": first touch after a cold-start crash must be a cold miss "
-                              "or a failed fetch, got %s",
-                              ServeKindName(b.result.kind))};
+            ServeWhere(i, a) + StrFormat(": first touch after a cold-start crash must be a "
+                                         "cold miss or a failed fetch, got %s",
+                                         ServeKindName(b.kind))};
       }
     } else {
       // Revalidate-all: every restored entry comes back invalid, so the
       // first touch must validate or miss — never serve the copy as fresh.
-      if (b.result.kind == ServeKind::kHitFresh) {
+      if (b.kind == ServeKind::kHitFresh) {
         throw OracleViolation{
             "crash-recovery",
-            where + ": first touch after a revalidate-all crash served a fresh hit "
-                    "(the restored entry skipped revalidation)"};
+            ServeWhere(i, a) + ": first touch after a revalidate-all crash served a fresh hit "
+                               "(the restored entry skipped revalidation)"};
       }
     }
   }
@@ -629,10 +683,11 @@ void ChaosOracle::VerifyRecoveryDivergence(const ChaosOracle& baseline,
 
 void ChaosOracle::VerifyLeafResult(const CacheStats& leaf) const {
   WEBCC_CHECK(run_ended_);
-  if (leaf.requests != serves_.size()) {
+  if (leaf.requests != serve_count_) {
     Fail("conservation",
-         StrFormat("leaf stats saw %llu requests but the observer saw %zu serves",
-                   static_cast<unsigned long long>(leaf.requests), serves_.size()));
+         StrFormat("leaf stats saw %llu requests but the observer saw %llu serves",
+                   static_cast<unsigned long long>(leaf.requests),
+                   static_cast<unsigned long long>(serve_count_)));
   }
   if (const int64_t gap = RequestConservationGap(leaf); gap != 0) {
     Fail("conservation",

@@ -45,6 +45,7 @@
 #ifndef WEBCC_SRC_CHAOS_ORACLE_H_
 #define WEBCC_SRC_CHAOS_ORACLE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,50 @@ namespace webcc {
 struct OracleViolation {
   std::string invariant;
   std::string message;
+};
+
+// The persisted entry fields (snapshot.cc's 9 columns): what a snapshot
+// restore brings back, so exactly what the crash-twin comparisons compare.
+// serve_count and serves_since_validation are in-memory only — a restore
+// legitimately resets them, and no non-adaptive policy reads them.
+struct PersistedEntry {
+  ObjectId object = kInvalidObjectId;
+  FileType type = FileType::kOther;
+  bool valid = true;
+  int64_t size_bytes = 0;
+  uint64_t version = 0;
+  SimTime last_modified;
+  SimTime fetched_at;
+  SimTime validated_at;
+  SimTime expires_at;
+
+  static PersistedEntry Of(const CacheEntry& entry);
+};
+
+// One logged serve: the verdict fields the twins must agree on plus the
+// serving entry's persisted state. Trivially copyable, so the log grows by
+// memcpy.
+struct ServeRecord {
+  ObjectId object = 0;
+  ServeKind kind = ServeKind::kHitFresh;
+  bool stale = false;
+  bool has_entry = false;  // false when nothing was cached afterwards
+  int hops = 0;
+  int64_t link_bytes = 0;
+  SimTime at;
+  PersistedEntry entry;  // meaningful only when has_entry
+
+  static ServeRecord Of(const ServeObservation& observation);
+};
+
+// What an oracle keeps of its run beyond the per-serve checks.
+enum class OracleRecord {
+  // The serve log and the final cache contents, as PersistedEntry rows:
+  // what VerifyCrashConsistency and VerifyRecoveryDivergence compare.
+  kTwinLog,
+  // A serve count only — all that invariants 1–3 and 5 read. For oracles
+  // no twin comparison ever reads.
+  kCountOnly,
 };
 
 // Where in a topology the observed cache sits — it changes what a serve can
@@ -91,8 +136,13 @@ class ChaosOracle : public SimObserver {
   // topologies pass the WHOLE-world fault config (link overrides included):
   // zero-faults cleanliness and retry slack must see every link's knobs,
   // because any link's faults can reach this cache's serves.
+  //
+  // `record` says whether the run is logged for a twin comparison; only
+  // an oracle built with kTwinLog may be passed to VerifyCrashConsistency or
+  // VerifyRecoveryDivergence (checked).
   explicit ChaosOracle(const SimulationConfig& config,
-                       OracleScope scope = OracleScope::kSingleTier);
+                       OracleScope scope = OracleScope::kSingleTier,
+                       OracleRecord record = OracleRecord::kTwinLog);
 
   // --- SimObserver ---
   void OnModification(ObjectId object, SimTime at) override;
@@ -138,9 +188,6 @@ class ChaosOracle : public SimObserver {
   // before reporting failure: the staleness-bound's fault-induced slack.
   static SimDuration MaxExchangeElapsed(const RetryPolicy& retry);
 
-  const std::vector<ServeObservation>& serves() const { return serves_; }
-  const ShadowModel& shadow() const { return shadow_; }
-
  private:
   [[noreturn]] static void Fail(const char* invariant, std::string message);
 
@@ -156,8 +203,11 @@ class ChaosOracle : public SimObserver {
   SimDuration slack_;
 
   ShadowModel shadow_;
-  std::vector<ServeObservation> serves_;
-  std::vector<CacheEntry> final_entries_;  // LRU order, most recent first
+  OracleRecord record_ = OracleRecord::kTwinLog;
+  uint64_t serve_count_ = 0;
+  // Kept only under kTwinLog.
+  std::vector<ServeRecord> serves_;
+  std::vector<PersistedEntry> final_entries_;  // LRU order, most recent first
   int64_t invalidations_in_flight_ = 0;
   bool run_ended_ = false;
 };

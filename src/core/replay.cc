@@ -117,17 +117,11 @@ struct LiveNode {
   // HandleRequest resolved instead of probing the index a second time. Out
   // of line so the unobserved serve loop stays small.
   [[gnu::noinline]] void ServeObserved(ObjectId object, SimTime at) {
-    const CacheEntry* entry = nullptr;
-    const ServeResult result = cache->HandleRequest(object, at, &entry);
     ServeObservation obs;
     obs.request_index = served;
     obs.object = object;
     obs.at = at;
-    obs.result = result;
-    if (entry != nullptr) {
-      obs.has_entry = true;
-      obs.entry = *entry;
-    }
+    obs.result = cache->HandleRequest(object, at, &obs.entry);
     observer->OnServe(obs);
   }
 };

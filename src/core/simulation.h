@@ -32,15 +32,17 @@
 
 namespace webcc {
 
-// One served request as a SimObserver sees it: the serve verdict plus a
-// copy of the cache entry's state immediately after the serve.
+// One served request as a SimObserver sees it: the serve verdict plus the
+// cache entry's state immediately after the serve.
 struct ServeObservation {
   uint64_t request_index = 0;  // replay index in the workload's request stream
   ObjectId object = 0;
   SimTime at;
   ServeResult result;
-  bool has_entry = false;  // false when nothing is cached afterwards
-  CacheEntry entry;        // meaningful only when has_entry
+  // The live entry, or null when nothing is cached afterwards. It points
+  // into the cache and is valid only during OnServe: an observer that keeps
+  // entry state copies the fields it needs.
+  const CacheEntry* entry = nullptr;
 };
 
 // Model-based-checking hooks (the chaos oracle, src/chaos/). The replay

@@ -191,6 +191,13 @@ TEST(ColumnarDifferentialTest, LongTrialRecyclesSlotsAndGrowsIndex) {
 
 // --- ProxyCache-level properties riding the same storage ---
 
+// Copies every cached entry in LRU order (most recent first).
+std::vector<CacheEntry> EntriesInLruOrder(const ProxyCache& cache) {
+  std::vector<CacheEntry> entries;
+  cache.ForEachEntry([&entries](const CacheEntry& entry) { entries.push_back(entry); });
+  return entries;
+}
+
 class ColumnarCacheTest : public ::testing::Test {
  protected:
   ColumnarCacheTest() : upstream_(&server_) {
@@ -221,7 +228,7 @@ TEST_F(ColumnarCacheTest, SnapshotRoundTripPreservesOrderAndFields) {
     now += Minutes(10);
     cache->HandleRequest(ids_[static_cast<size_t>(rng.UniformInt(0, 39))], now);
   }
-  const std::vector<CacheEntry> before = cache->SnapshotEntries();
+  const std::vector<CacheEntry> before = EntriesInLruOrder(*cache);
 
   std::stringstream snapshot;
   SaveCacheSnapshot(*cache, snapshot);
@@ -231,7 +238,7 @@ TEST_F(ColumnarCacheTest, SnapshotRoundTripPreservesOrderAndFields) {
       LoadCacheSnapshot(*restored, snapshot, SnapshotRecovery::kTrustSnapshot, &error);
   ASSERT_EQ(loaded, static_cast<int64_t>(before.size())) << error.message;
 
-  const std::vector<CacheEntry> after = restored->SnapshotEntries();
+  const std::vector<CacheEntry> after = EntriesInLruOrder(*restored);
   ASSERT_EQ(after.size(), before.size());
   for (size_t i = 0; i < before.size(); ++i) {
     // The nine persisted fields survive byte-exactly, in LRU order.
